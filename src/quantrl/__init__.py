@@ -31,14 +31,11 @@ from .trading_env import (
     ObservationWindow,
     Position,
     RewardKind,
-    SequentialVecEnv,
     StepResult,
     TradingEnv,
     reward_immediate,
     reward_on_flip,
     reward_terminal,
-    vec_reset,
-    vec_step,
 )
 from .agents import (
     ActorCritic,
@@ -76,7 +73,7 @@ __all__ = [
     "Hyperparams", "IndicatorSpec", "MlpPolicy", "NormalizationKind",
     "NormalizationStats", "ObservationWindow", "OhlcvSeries",
     "PerformanceReport", "Position", "ReplayBuffer", "RewardKind",
-    "SequentialVecEnv", "StepResult", "Trade", "TradingEnv", "TrainingLog",
+    "StepResult", "Trade", "TradingEnv", "TrainingLog",
     "a2c_train", "annualize", "calmar", "compute_feature_matrix",
     "compute_report", "default_specs", "dqn_train", "epsilon_greedy",
     "errors", "fit", "l2_normalize", "linear_epsilon", "load_csv",
@@ -84,6 +81,6 @@ __all__ = [
     "pearson_corr_matrix", "ppo_train", "render_report", "reward_immediate",
     "reward_on_flip", "reward_terminal", "run_policy", "save_csv",
     "save_policy", "select_uncorrelated", "sharpe", "sigmoid_norm",
-    "slice_by_date", "sortino", "vec_reset", "vec_step", "win_rate",
+    "slice_by_date", "sortino", "win_rate",
     "window_log", "z_score",
 ]

@@ -59,13 +59,16 @@ class _Rollout:
         self.fill = 0
 
 
-def a2c_train(env_factory, hyperparams: Hyperparams, seed: int) -> tuple[ActorCritic, TrainingLog]:
-    """Collect n_steps transitions, then one synchronous update of both nets."""
-    hp = hyperparams
+def train_on_policy(env_factory, hp: Hyperparams, seed: int, update) -> tuple[ActorCritic, TrainingLog]:
+    """Shared A2C/PPO loop: build the nets, sample actions into n_steps
+    rollouts and log episodes. Each full rollout goes to
+    ``update(nets, actor_opt, critic_opt, rollout, obs, rng)``, which returns
+    the loss to log; ``obs`` is the observation after the rollout."""
     env = env_factory()
     rng = np.random.default_rng(seed)
     actor = init_mlp([env.observation_size, *hp.hidden_sizes, 2], rng)
     critic = init_mlp([env.observation_size, *hp.hidden_sizes, 1], rng)
+    nets = ActorCritic(actor, critic)
     actor_opt = make_optimizer(hp.optimizer, hp.learning_rate)
     critic_opt = make_optimizer(hp.optimizer, hp.learning_rate)
     log = TrainingLog()
@@ -77,26 +80,35 @@ def a2c_train(env_factory, hyperparams: Hyperparams, seed: int) -> tuple[ActorCr
     while steps < hp.total_timesteps:
         action = sample_action(actor, obs, rng)
         result = env.step(action)
-        next_obs = result.observation.flatten()
         rollout.add(obs, action, result.reward, result.done)
         episode_return += result.reward
-        obs = next_obs
+        obs = result.observation.flatten()
         steps += 1
         if result.done:
             log.append(TrainingRecord(steps, episode_return, last_loss))
             episode_return = 0.0
             obs = env.reset(seed).flatten()
         if rollout.full:
-            bootstrap = float(mlp_forward(critic, obs)[0])
-            returns = n_step_returns(rollout.rewards, rollout.dones, bootstrap, hp.gamma)
-            values = mlp_forward(critic, rollout.states)[:, 0]
-            advantages = returns - values
-            actor_loss, actor_grads = policy_gradient_loss(
-                actor, rollout.states, rollout.actions, advantages, hp.entropy_coef
-            )
-            critic_loss, critic_grads = value_loss(critic, rollout.states, returns)
-            actor_opt.update(actor.parameters(), actor_grads)
-            critic_opt.update(critic.parameters(), [g * hp.value_coef for g in critic_grads])
-            last_loss = actor_loss + hp.value_coef * critic_loss
+            last_loss = update(nets, actor_opt, critic_opt, rollout, obs, rng)
             rollout.clear()
-    return ActorCritic(actor, critic), log
+    return nets, log
+
+
+def a2c_train(env_factory, hyperparams: Hyperparams, seed: int) -> tuple[ActorCritic, TrainingLog]:
+    """Collect n_steps transitions, then one synchronous update of both nets."""
+    hp = hyperparams
+
+    def update(nets, actor_opt, critic_opt, rollout, obs, rng) -> float:
+        bootstrap = float(mlp_forward(nets.critic, obs)[0])
+        returns = n_step_returns(rollout.rewards, rollout.dones, bootstrap, hp.gamma)
+        values = mlp_forward(nets.critic, rollout.states)[:, 0]
+        advantages = returns - values
+        actor_loss, actor_grads = policy_gradient_loss(
+            nets.actor, rollout.states, rollout.actions, advantages, hp.entropy_coef
+        )
+        critic_loss, critic_grads = value_loss(nets.critic, rollout.states, returns)
+        actor_opt.update(nets.actor.flat, actor_grads)
+        critic_opt.update(nets.critic.flat, critic_grads * hp.value_coef)
+        return actor_loss + hp.value_coef * critic_loss
+
+    return train_on_policy(env_factory, hp, seed, update)

@@ -68,15 +68,22 @@ def linear_epsilon(step: int, total_timesteps: int, initial: float = 1.0,
     return initial + (final - initial) * (step / decay_steps)
 
 
+def exploratory_action(epsilon: float, n_actions: int, rng: np.random.Generator) -> int | None:
+    """The uniform random action of an epsilon-greedy step, or None when
+    the step is greedy. Draws rng.random() only for epsilon > 0."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return int(rng.integers(n_actions))
+    return None
+
+
 def epsilon_greedy(action_values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Uniform random action with probability epsilon, else argmax
     (ties resolve to the lowest index)."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     values = np.asarray(action_values, dtype=float).ravel()
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(len(values)))
-    return int(np.argmax(values))
+    action = exploratory_action(epsilon, len(values), rng)
+    return int(np.argmax(values)) if action is None else action
 
 
 @dataclass(frozen=True)

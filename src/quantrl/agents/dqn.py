@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import Hyperparams, TrainingLog, TrainingRecord, Transition, epsilon_greedy, linear_epsilon
+from .common import Hyperparams, TrainingLog, TrainingRecord, Transition, exploratory_action, linear_epsilon
 from .mlp import MlpPolicy, forward_cached, init_mlp, mlp_backward, mlp_forward
 from .optim import make_optimizer
 from .replay import Batch, ReplayBuffer
@@ -64,8 +64,9 @@ class DqnTrainer:
 
     def train_step(self) -> None:
         eps = self.epsilon
-        q = mlp_forward(self.policy, self._obs)
-        action = epsilon_greedy(q, eps, self.rng)
+        action = exploratory_action(eps, self.policy.output_size, self.rng)
+        if action is None:
+            action = int(np.argmax(mlp_forward(self.policy, self._obs)))
         result = self.env.step(action)
         next_obs = result.observation.flatten()
         self.buffer.push(Transition(self._obs, action, result.reward, next_obs, result.done))
@@ -75,7 +76,7 @@ class DqnTrainer:
         if len(self.buffer) >= self.hp.batch_size:
             batch = self.buffer.sample(self.hp.batch_size, self.rng)
             loss, grads = td_loss_and_grads(self.policy, self.target, batch, self.hp.gamma)
-            self.optimizer.update(self.policy.parameters(), grads)
+            self.optimizer.update(self.policy.flat, grads)
             self.last_loss = loss
         if self.step_count % self.hp.target_update_interval == 0:
             self.target = self.policy.copy()

@@ -3,32 +3,57 @@
 Hidden layers use tanh, the output layer is linear. Weights are stored as
 (fan_in, fan_out) matrices so a batch forward is x @ W + b. All math is
 float64 and deterministic for a seeded generator.
+
+Parameter layout: all parameters of a network live in one float64 vector,
+``MlpPolicy.flat``, ordered W0, b0, W1, b1, ... with each W row-major.
+``weights`` and ``biases`` are views into it, gradients from
+``mlp_backward`` use the same layout, and ``policy.bin`` stores it as its
+payload. This module is the only one that knows the layout.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ShapeMismatch
 
 
-@dataclass
-class MlpPolicy:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+def param_count(layer_sizes: list[int]) -> int:
+    """Length of the flat parameter vector for these layer sizes."""
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
+
+def _layer_views(layer_sizes: list[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
+class MlpPolicy:
+    """Network parameters as one flat vector; the given per-layer arrays are copied into it."""
+
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        if len(weights) != len(biases) or not weights:
             raise ShapeMismatch("weights and biases must pair up")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ShapeMismatch(f"layer {i}: W {w.shape} incompatible with b {b.shape}")
-            if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
+            if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
                 raise ShapeMismatch(f"layer {i}: fan-in {w.shape[0]} != previous fan-out")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ShapeMismatch(f"layer {i}: non-finite parameters")
+        self.flat = np.concatenate([p.ravel() for pair in zip(weights, biases) for p in pair], dtype=float)
+        if not np.isfinite(self.flat).all():
+            raise ShapeMismatch("non-finite parameters")
+        self.weights, self.biases = _layer_views([weights[0].shape[0]] + [w.shape[1] for w in weights], self.flat)
+
+    @classmethod
+    def from_flat(cls, layer_sizes: list[int], flat: np.ndarray) -> "MlpPolicy":
+        """A policy holding a copy of ``flat``, whose length is param_count(layer_sizes)."""
+        return cls(*_layer_views(layer_sizes, flat))
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -43,13 +68,7 @@ class MlpPolicy:
         return self.weights[-1].shape[1]
 
     def copy(self) -> "MlpPolicy":
-        return MlpPolicy([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return MlpPolicy(self.weights, self.biases)
 
 
 def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> MlpPolicy:
@@ -102,10 +121,10 @@ def forward_cached(policy: MlpPolicy, x: np.ndarray) -> tuple[np.ndarray, list[n
     return h, cache
 
 
-def mlp_backward(policy: MlpPolicy, cache: list[np.ndarray], grad_out: np.ndarray) -> list[np.ndarray]:
-    """Gradients of a scalar loss given dL/d(output), ordered like
-    policy.parameters(): [dW0, db0, dW1, db1, ...]."""
-    grads: list[np.ndarray] = [None] * (2 * len(policy.weights))
+def mlp_backward(policy: MlpPolicy, cache: list[np.ndarray], grad_out: np.ndarray) -> np.ndarray:
+    """Gradient of a scalar loss given dL/d(output), laid out like policy.flat."""
+    grad = np.empty_like(policy.flat)
+    grad_w, grad_b = _layer_views(policy.layer_sizes, grad)
     delta = np.asarray(grad_out, dtype=float)
     for i in range(len(policy.weights) - 1, -1, -1):
         inputs = cache[i]
@@ -113,11 +132,11 @@ def mlp_backward(policy: MlpPolicy, cache: list[np.ndarray], grad_out: np.ndarra
             # recompute the tanh output of layer i that fed layer i+1
             activated = cache[i + 1]
             delta = delta * (1.0 - activated * activated)
-        grads[2 * i] = inputs.T @ delta
-        grads[2 * i + 1] = delta.sum(axis=0)
+        np.matmul(inputs.T, delta, out=grad_w[i])
+        delta.sum(axis=0, out=grad_b[i])
         if i > 0:
             delta = delta @ policy.weights[i].T
-    return grads
+    return grad
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Parameter-update rules: plain SGD (default) and Adam."""
+"""Parameter-update rules on a flat parameter vector: plain SGD (default) and Adam."""
 
 from __future__ import annotations
 
@@ -9,9 +9,8 @@ class Sgd:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def update(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for p, g in zip(params, grads):
-            p -= self.lr * g
+    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
+        params -= self.lr * grads
 
 
 class Adam:
@@ -21,22 +20,16 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
+        self._m = 0.0
+        self._v = 0.0
 
-    def update(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
+    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        self._m = self.beta1 * self._m + (1.0 - self.beta1) * grads
+        self._v = self.beta2 * self._v + (1.0 - self.beta2) * grads * grads
+        params -= self.lr * (self._m / bias1) / (np.sqrt(self._v / bias2) + self.eps)
 
 
 def make_optimizer(name: str, lr: float):

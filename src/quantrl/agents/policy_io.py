@@ -1,8 +1,8 @@
 """Binary policy persistence.
 
 Layout (all little-endian): 4-byte magic ``QRLP``, uint32 format version,
-uint32 layer count L, (L+1) uint32 layer sizes, then per layer the weight
-matrix (fan_in x fan_out, row-major float64) followed by the bias vector.
+uint32 layer count L, (L+1) uint32 layer sizes, then the policy's flat
+parameter vector as float64 (layout in the ``mlp`` module docstring).
 The round trip is bit-exact on parameters.
 """
 
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CorruptFile, ShapeMismatch
-from .mlp import MlpPolicy
+from .mlp import MlpPolicy, param_count
 
 MAGIC = b"QRLP"
 FORMAT_VERSION = 1
@@ -24,9 +24,7 @@ def save_policy(policy: MlpPolicy, path: str | Path) -> None:
     sizes = policy.layer_sizes
     parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(policy.weights))]
     parts.append(struct.pack(f"<{len(sizes)}I", *sizes))
-    for w, b in zip(policy.weights, policy.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    parts.append(policy.flat.astype("<f8").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -46,15 +44,7 @@ def load_policy(path: str | Path) -> MlpPolicy:
     offset += 4 * (n_layers + 1)
     if any(s < 1 for s in sizes):
         raise ShapeMismatch(f"{path}: zero-sized layer in header {sizes}")
-    expected = offset + 8 * sum(fi * fo + fo for fi, fo in zip(sizes, sizes[1:]))
+    expected = offset + 8 * param_count(sizes)
     if len(data) != expected:
         raise CorruptFile(f"{path}: payload {len(data)} bytes, header implies {expected}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        w = np.frombuffer(data, dtype="<f8", count=fan_in * fan_out, offset=offset).reshape(fan_in, fan_out)
-        offset += 8 * fan_in * fan_out
-        b = np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset)
-        offset += 8 * fan_out
-        weights.append(w.astype(float))
-        biases.append(b.astype(float))
-    return MlpPolicy(weights, biases)
+    return MlpPolicy.from_flat(sizes, np.frombuffer(data, dtype="<f8", offset=offset))

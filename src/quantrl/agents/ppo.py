@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .a2c import ActorCritic, _Rollout, sample_action
-from .common import Hyperparams, TrainingLog, TrainingRecord
+from .a2c import ActorCritic, train_on_policy
+from .common import Hyperparams, TrainingLog
 from .losses import ppo_policy_loss, value_loss
-from .mlp import init_mlp, log_softmax, mlp_forward
-from .optim import make_optimizer
+from .mlp import log_softmax, mlp_forward
 
 
 def gae_advantages(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
@@ -29,50 +28,28 @@ def gae_advantages(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
 def ppo_train(env_factory, hyperparams: Hyperparams, seed: int) -> tuple[ActorCritic, TrainingLog]:
     """n_steps rollouts optimized for n_epochs of shuffled minibatches."""
     hp = hyperparams
-    env = env_factory()
-    rng = np.random.default_rng(seed)
-    actor = init_mlp([env.observation_size, *hp.hidden_sizes, 2], rng)
-    critic = init_mlp([env.observation_size, *hp.hidden_sizes, 1], rng)
-    actor_opt = make_optimizer(hp.optimizer, hp.learning_rate)
-    critic_opt = make_optimizer(hp.optimizer, hp.learning_rate)
-    log = TrainingLog()
-    rollout = _Rollout(hp.n_steps, env.observation_size)
-    obs = env.reset(seed).flatten()
-    episode_return = 0.0
-    last_loss = float("nan")
-    steps = 0
     minibatch = min(hp.batch_size, hp.n_steps)
-    while steps < hp.total_timesteps:
-        action = sample_action(actor, obs, rng)
-        result = env.step(action)
-        rollout.add(obs, action, result.reward, result.done)
-        episode_return += result.reward
-        obs = result.observation.flatten()
-        steps += 1
-        if result.done:
-            log.append(TrainingRecord(steps, episode_return, last_loss))
-            episode_return = 0.0
-            obs = env.reset(seed).flatten()
-        if rollout.full:
-            values = mlp_forward(critic, rollout.states)[:, 0]
-            last_value = float(mlp_forward(critic, obs)[0])
-            advantages, returns = gae_advantages(
-                rollout.rewards, values, rollout.dones, last_value, hp.gamma, hp.gae_lambda
-            )
-            logp_old = log_softmax(mlp_forward(actor, rollout.states))[
-                np.arange(hp.n_steps), rollout.actions
-            ]
-            for _ in range(hp.n_epochs):
-                order = rng.permutation(hp.n_steps)
-                for lo in range(0, hp.n_steps, minibatch):
-                    idx = order[lo : lo + minibatch]
-                    actor_loss, actor_grads = ppo_policy_loss(
-                        actor, rollout.states[idx], rollout.actions[idx],
-                        logp_old[idx], advantages[idx], hp.clip_range, hp.entropy_coef,
-                    )
-                    critic_loss, critic_grads = value_loss(critic, rollout.states[idx], returns[idx])
-                    actor_opt.update(actor.parameters(), actor_grads)
-                    critic_opt.update(critic.parameters(), [g * hp.value_coef for g in critic_grads])
-                    last_loss = actor_loss + hp.value_coef * critic_loss
-            rollout.clear()
-    return ActorCritic(actor, critic), log
+
+    def update(nets, actor_opt, critic_opt, rollout, obs, rng) -> float:
+        values = mlp_forward(nets.critic, rollout.states)[:, 0]
+        last_value = float(mlp_forward(nets.critic, obs)[0])
+        advantages, returns = gae_advantages(
+            rollout.rewards, values, rollout.dones, last_value, hp.gamma, hp.gae_lambda
+        )
+        logp_old = log_softmax(mlp_forward(nets.actor, rollout.states))[
+            np.arange(hp.n_steps), rollout.actions
+        ]
+        for _ in range(hp.n_epochs):
+            order = rng.permutation(hp.n_steps)
+            for lo in range(0, hp.n_steps, minibatch):
+                idx = order[lo : lo + minibatch]
+                actor_loss, actor_grads = ppo_policy_loss(
+                    nets.actor, rollout.states[idx], rollout.actions[idx],
+                    logp_old[idx], advantages[idx], hp.clip_range, hp.entropy_coef,
+                )
+                critic_loss, critic_grads = value_loss(nets.critic, rollout.states[idx], returns[idx])
+                actor_opt.update(nets.actor.flat, actor_grads)
+                critic_opt.update(nets.critic.flat, critic_grads * hp.value_coef)
+        return actor_loss + hp.value_coef * critic_loss
+
+    return train_on_policy(env_factory, hp, seed, update)

@@ -44,7 +44,7 @@ class ReplayBuffer:
         state = np.asarray(transition.state, dtype=float)
         if self._states is None:
             self._states = np.zeros((self.capacity, state.shape[0]))
-            self._next_states = np.zeros_like(self._states)
+            self._next_states = np.zeros((self.capacity, state.shape[0]))
         slot = self.insertions % self.capacity
         self._states[slot] = state
         self._actions[slot] = transition.action

@@ -253,7 +253,7 @@ def render_report(report: PerformanceReport, ledger: EpisodeLedger, curve: Equit
     with open(paths["equity"], "w") as handle:
         handle.write("step,equity\n")
         for i, v in enumerate(curve.values):
-            handle.write(f"{i},{v!r}\n")
+            handle.write(f"{i},{float(v)!r}\n")
     with open(paths["trades"], "w") as handle:
         handle.write(TRADES_HEADER + "\n")
         for t in trades:

@@ -83,12 +83,3 @@ class SchemaError(QuantrlError):
         super().__init__(f"{key}: {detail}")
         self.key = key
         self.detail = detail
-
-
-class VecEnvError(QuantrlError):
-    """Error raised by one env inside the sequential vector wrapper."""
-
-    def __init__(self, index: int, cause: Exception):
-        super().__init__(f"env {index}: {cause}")
-        self.index = index
-        self.cause = cause

@@ -24,7 +24,6 @@ from .errors import (
     NonPositiveValue,
     SeriesTooShort,
     SteppedAfterDone,
-    VecEnvError,
 )
 from .indicators import FeatureMatrix
 from .market_data import OhlcvSeries
@@ -190,7 +189,6 @@ class TradingEnv:
         self._last_trade_price = self._closes[self._start]
         self._step_index = 0
         self.ledger = EpisodeLedger(initial_cash=self.config.initial_cash)
-        self.seed = None
 
     def _normalized_features(self, stats: list[NormalizationStats] | None) -> np.ndarray:
         kind = self.config.normalization
@@ -257,7 +255,6 @@ class TradingEnv:
         return ObservationWindow(values=block.copy(), position_flag=flag)
 
     def reset(self, seed: int | None = None) -> ObservationWindow:
-        self.seed = seed
         self._cursor = self._start
         self._done = False
         self._position = Position.SHORT
@@ -304,48 +301,3 @@ class TradingEnv:
             "trade_executed": flipped,
         }
         return StepResult(self._observe(), reward, self._done, info)
-
-
-def vec_reset(envs: list[TradingEnv], seeds: list[int | None] | None = None) -> list[ObservationWindow]:
-    """Reset each env in list order; per-env errors carry the env index."""
-    seeds = seeds or [None] * len(envs)
-    if len(seeds) != len(envs):
-        raise ValueError(f"{len(seeds)} seeds for {len(envs)} envs")
-    observations = []
-    for i, (env, seed) in enumerate(zip(envs, seeds)):
-        try:
-            observations.append(env.reset(seed))
-        except Exception as exc:
-            raise VecEnvError(i, exc) from exc
-    return observations
-
-
-def vec_step(envs: list[TradingEnv], actions: list[Action | int]) -> list[StepResult]:
-    """Step each env in list order with its own action; order preserved."""
-    if len(actions) != len(envs):
-        raise ValueError(f"{len(actions)} actions for {len(envs)} envs")
-    results = []
-    for i, (env, action) in enumerate(zip(envs, actions)):
-        try:
-            results.append(env.step(action))
-        except Exception as exc:
-            raise VecEnvError(i, exc) from exc
-    return results
-
-
-class SequentialVecEnv:
-    """Sequential wrapper: semantically identical to per-env calls in order."""
-
-    def __init__(self, envs: list[TradingEnv]):
-        if not envs:
-            raise ValueError("need at least one env")
-        self.envs = list(envs)
-
-    def __len__(self) -> int:
-        return len(self.envs)
-
-    def reset(self, seeds: list[int | None] | None = None) -> list[ObservationWindow]:
-        return vec_reset(self.envs, seeds)
-
-    def step(self, actions: list[Action | int]) -> list[StepResult]:
-        return vec_step(self.envs, actions)

@@ -21,14 +21,11 @@ from quantrl.errors import ShapeMismatch
 
 
 def flatten_params(policy):
-    return np.concatenate([p.ravel() for p in policy.parameters()])
+    return policy.flat
 
 
 def set_params(policy, flat):
-    offset = 0
-    for p in policy.parameters():
-        p[...] = flat[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
+    policy.flat[...] = flat
 
 
 def central_difference(policy, loss_fn, h=1e-6):
@@ -53,7 +50,7 @@ def relative_error(a, b):
 
 
 def flatten_grads(grads):
-    return np.concatenate([g.ravel() for g in grads])
+    return np.ravel(grads)
 
 
 def test_zero_network_outputs_zero():
@@ -71,6 +68,26 @@ def test_single_layer_affine_map():
     policy = MlpPolicy([w], [b])
     x = np.array([2.0, 1.0])
     assert np.allclose(mlp_forward(policy, x), x @ w + b, atol=1e-15)
+
+
+def test_weights_and_biases_are_views_of_flat():
+    rng = np.random.default_rng(4)
+    policy = init_mlp([3, 5, 2], rng)
+    x = rng.normal(size=3)
+    assert mlp_forward(policy, x).any()
+    policy.flat[:] = 0.0
+    policy.flat[-1] = 2.5  # last bias entry
+    assert np.array_equal(mlp_forward(policy, x), [0.0, 2.5])
+
+
+def test_copy_shares_no_memory():
+    policy = init_mlp([3, 5, 2], np.random.default_rng(5))
+    clone = policy.copy()
+    assert np.array_equal(clone.flat, policy.flat)
+    assert not np.shares_memory(clone.flat, policy.flat)
+    clone.flat += 1.0
+    assert not np.array_equal(clone.flat, policy.flat)
+    assert not any(np.shares_memory(c, p) for c, p in zip(clone.weights + clone.biases, policy.weights + policy.biases))
 
 
 def test_forward_finite_on_random_inputs():
@@ -106,8 +123,8 @@ def test_backward_linear_unit_hand_derivative():
     out, cache = forward_cached(policy, x)
     delta = out[0, 0] - target
     grads = mlp_backward(policy, cache, np.array([[2.0 * delta]]))
-    assert grads[0][0, 0] == pytest.approx(2.0 * delta * 2.0, abs=1e-12)
-    assert grads[1][0] == pytest.approx(2.0 * delta, abs=1e-12)
+    assert grads[0] == pytest.approx(2.0 * delta * 2.0, abs=1e-12)
+    assert grads[1] == pytest.approx(2.0 * delta, abs=1e-12)
 
 
 def test_constant_loss_zero_gradient():
@@ -115,7 +132,7 @@ def test_constant_loss_zero_gradient():
     policy = init_mlp([3, 6, 2], rng)
     out, cache = forward_cached(policy, rng.normal(size=(4, 3)))
     grads = mlp_backward(policy, cache, np.zeros_like(out))
-    assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
+    assert np.array_equal(grads, np.zeros_like(grads))
 
 
 def test_mlp_backward_matches_finite_differences():
@@ -254,7 +271,7 @@ def test_ppo_zero_advantage_zero_surrogate():
     loss, grads = ppo_policy_loss(actor, states, np.zeros(4, dtype=int), np.full(4, -0.7),
                                   np.zeros(4), 0.2, 0.0)
     assert loss == 0.0
-    assert all(np.allclose(g, 0.0) for g in grads)
+    assert np.allclose(grads, 0.0)
 
 
 def test_ppo_clipping_bounds_property():
@@ -282,7 +299,7 @@ def test_actor_zero_advantage_no_policy_gradient():
     actions = rng.integers(2, size=4)
     loss, grads = policy_gradient_loss(actor, states, actions, np.zeros(4), 0.0)
     assert loss == 0.0
-    assert all(np.allclose(g, 0.0) for g in grads)
+    assert np.allclose(grads, 0.0)
 
 
 # --- exploration -----------------------------------------------------------------

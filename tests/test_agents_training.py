@@ -95,10 +95,17 @@ def test_save_load_round_trip(tmp_path):
     save_policy(policy, path)
     loaded = load_policy(path)
     assert loaded.layer_sizes == policy.layer_sizes
-    for a, b in zip(policy.parameters(), loaded.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(policy.flat, loaded.flat)
     x = rng.normal(size=(5, 6))
     assert np.array_equal(mlp_forward(policy, x), mlp_forward(loaded, x))
+
+
+def test_policy_bin_payload_is_flat_vector(tmp_path):
+    policy = init_mlp([6, 8, 2], np.random.default_rng(3))
+    path = tmp_path / "policy.bin"
+    save_policy(policy, path)
+    header = 12 + 4 * len(policy.layer_sizes)
+    assert path.read_bytes()[header:] == policy.flat.astype("<f8").tobytes()
 
 
 def test_load_truncated_file(tmp_path):
@@ -150,18 +157,12 @@ def test_dqn_target_sync_only_at_interval():
     trainer = DqnTrainer(tiny_env(), tiny_hp(), seed=0)
     interval = trainer.hp.target_update_interval
 
-    def snapshot(policy: MlpPolicy):
-        return [p.copy() for p in policy.parameters()]
-
-    reference = snapshot(trainer.target)
+    reference = trainer.target.flat.copy()
     for _ in range(3 * interval):
         trainer.train_step()
-        same = all(
-            np.array_equal(a, b)
-            for a, b in zip(snapshot(trainer.target), reference)
-        )
+        same = np.array_equal(trainer.target.flat, reference)
         if trainer.step_count % interval == 0:
-            reference = snapshot(trainer.target)
+            reference = trainer.target.flat.copy()
         else:
             assert same, f"target changed off-interval at step {trainer.step_count}"
 
@@ -174,6 +175,29 @@ def test_dqn_epsilon_anneals():
     assert trainer.epsilon == 0.05
 
 
+def test_dqn_explore_steps_skip_greedy_forward(monkeypatch):
+    import quantrl.agents.dqn as dqn
+
+    single_calls = []
+    forward = dqn.mlp_forward
+
+    def counting_forward(policy, x):
+        if np.ndim(x) == 1:
+            single_calls.append(x)
+        return forward(policy, x)
+
+    monkeypatch.setattr(dqn, "mlp_forward", counting_forward)
+    explorer = DqnTrainer(tiny_env(), tiny_hp(exploration_final=1.0), seed=0)
+    for _ in range(40):
+        explorer.train_step()
+    assert explorer.epsilon == 1.0
+    assert single_calls == []
+    greedy = DqnTrainer(tiny_env(), tiny_hp(exploration_initial=0.0, exploration_final=0.0), seed=0)
+    for _ in range(40):
+        greedy.train_step()
+    assert len(single_calls) == 40
+
+
 def test_dqn_determinism():
     def run():
         policy, log = dqn_train(lambda: tiny_env(), tiny_hp(), seed=11)
@@ -181,8 +205,7 @@ def test_dqn_determinism():
 
     p1, l1 = run()
     p2, l2 = run()
-    for a, b in zip(p1.parameters(), p2.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(p1.flat, p2.flat)
     assert len(l1) == len(l2)
     for r1, r2 in zip(l1.records, l2.records):
         assert r1 == r2
@@ -191,7 +214,7 @@ def test_dqn_determinism():
 def test_dqn_different_seeds_differ():
     p1, _ = dqn_train(lambda: tiny_env(), tiny_hp(), seed=1)
     p2, _ = dqn_train(lambda: tiny_env(), tiny_hp(), seed=2)
-    assert any(not np.array_equal(a, b) for a, b in zip(p1.parameters(), p2.parameters()))
+    assert not np.array_equal(p1.flat, p2.flat)
 
 
 def test_training_log_csv(tmp_path):
@@ -272,8 +295,7 @@ def test_a2c_train_runs_and_is_deterministic():
     ac1, log1 = a2c_train(lambda: tiny_env(), hp, seed=4)
     ac2, log2 = a2c_train(lambda: tiny_env(), hp, seed=4)
     assert isinstance(ac1, ActorCritic)
-    for a, b in zip(ac1.actor.parameters(), ac2.actor.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(ac1.actor.flat, ac2.actor.flat)
     assert [r.timestep for r in log1.records] == [r.timestep for r in log2.records]
 
 
@@ -281,8 +303,7 @@ def test_ppo_train_runs_and_is_deterministic():
     hp = tiny_hp(total_timesteps=150, n_steps=16, batch_size=8)
     ac1, log1 = ppo_train(lambda: tiny_env(), hp, seed=4)
     ac2, log2 = ppo_train(lambda: tiny_env(), hp, seed=4)
-    for a, b in zip(ac1.actor.parameters(), ac2.actor.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(ac1.actor.flat, ac2.actor.flat)
     assert len(log1) == len(log2)
 
 

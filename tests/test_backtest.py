@@ -200,6 +200,7 @@ def test_render_report_files(tmp_path):
     equity_lines = paths["equity"].read_text().splitlines()
     assert equity_lines[0] == "step,equity"
     assert len(equity_lines) == len(curve) + 1
+    assert [float(line.split(",")[1]) for line in equity_lines[1:]] == list(curve.values)
     trade_lines = paths["trades"].read_text().splitlines()
     assert trade_lines[0] == "direction,entry_idx,entry_px,exit_idx,exit_px,ret,win"
     assert len(trade_lines) == len(trades) + 1

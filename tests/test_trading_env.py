@@ -11,22 +11,18 @@ from quantrl import (
     NormalizationKind,
     Position,
     RewardKind,
-    SequentialVecEnv,
     TradingEnv,
     compute_feature_matrix,
     default_specs,
     reward_immediate,
     reward_on_flip,
     reward_terminal,
-    vec_reset,
-    vec_step,
 )
 from quantrl.errors import (
     NonPositiveEquity,
     NonPositivePrice,
     SeriesTooShort,
     SteppedAfterDone,
-    VecEnvError,
 )
 
 
@@ -358,65 +354,3 @@ def test_ledger_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,action,position,price,reward,equity"
     assert len(lines) == len(env.ledger) + 1
-
-
-# --- vectorized wrapper ---------------------------------------------------------
-
-
-def make_envs(n):
-    envs = []
-    for i in range(n):
-        series = random_walk_series(40, seed=100 + i)
-        features = compute_feature_matrix(series, [IndicatorSpec("SMA", 2)])
-        envs.append(TradingEnv(series, features, EnvConfig(window_size=2)))
-    return envs
-
-
-def test_vec_single_env_identity():
-    (env_a,) = make_envs(1)
-    (env_b,) = make_envs(1)
-    obs_vec = vec_reset([env_a], [0])
-    obs_direct = env_b.reset(0)
-    assert np.array_equal(obs_vec[0].values, obs_direct.values)
-    result_vec = vec_step([env_a], [Action.BUY])
-    result_direct = env_b.step(Action.BUY)
-    assert result_vec[0].reward == result_direct.reward
-
-
-def test_vec_matches_sequential_calls():
-    envs_vec = make_envs(4)
-    envs_ref = make_envs(4)
-    wrapper = SequentialVecEnv(envs_vec)
-    wrapper.reset([0, 1, 2, 3])
-    for env, seed in zip(envs_ref, [0, 1, 2, 3]):
-        env.reset(seed)
-    rng = np.random.default_rng(77)
-    for _ in range(10):
-        actions = [int(a) for a in rng.integers(2, size=4)]
-        results = wrapper.step(actions)
-        for env, action, result in zip(envs_ref, actions, results):
-            expected = env.step(action)
-            assert result.reward == expected.reward
-            assert result.info["equity"] == expected.info["equity"]
-            assert np.array_equal(result.observation.values, expected.observation.values)
-
-
-def test_vec_identical_envs_identical_results():
-    env_a, env_b = make_envs(1)[0], make_envs(1)[0]
-    wrapper = SequentialVecEnv([env_a, env_b])
-    wrapper.reset()
-    results = wrapper.step([Action.BUY, Action.BUY])
-    assert results[0].reward == results[1].reward
-
-
-def test_vec_error_carries_index():
-    envs = make_envs(2)
-    vec_reset(envs)
-    # finish env 1 only
-    done = False
-    while not done:
-        done = envs[1].step(Action.BUY).done
-    with pytest.raises(VecEnvError) as err:
-        vec_step(envs, [Action.BUY, Action.BUY])
-    assert err.value.index == 1
-    assert isinstance(err.value.cause, SteppedAfterDone)
