@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import TrainingDiverged
 from .common import Hyperparams, TrainingLog, TrainingRecord
 from .losses import policy_gradient_loss, value_loss
 from .mlp import MlpPolicy, init_mlp, mlp_forward, softmax
@@ -63,7 +65,8 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update) -> tuple[Ac
     """Shared A2C/PPO loop: build the nets, sample actions into n_steps
     rollouts and log episodes. Each full rollout goes to
     ``update(nets, actor_opt, critic_opt, rollout, obs, rng)``, which returns
-    the loss to log; ``obs`` is the observation after the rollout."""
+    the loss to log; ``obs`` is the observation after the rollout. A
+    non-finite loss raises TrainingDiverged."""
     env = env_factory()
     rng = np.random.default_rng(seed)
     actor = init_mlp([env.observation_size, *hp.hidden_sizes, 2], rng)
@@ -90,6 +93,8 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update) -> tuple[Ac
             obs = env.reset(seed).flatten()
         if rollout.full:
             last_loss = update(nets, actor_opt, critic_opt, rollout, obs, rng)
+            if not math.isfinite(last_loss):
+                raise TrainingDiverged(steps, last_loss)
             rollout.clear()
     return nets, log
 

@@ -49,6 +49,10 @@ class Hyperparams:
             raise ValueError("intervals and step counts must be >= 1")
         if self.clip_range <= 0.0:
             raise ValueError(f"clip_range must be > 0, got {self.clip_range}")
+        if not 0.0 <= self.exploration_initial <= 1.0:
+            raise ValueError(f"exploration_initial must be in [0, 1], got {self.exploration_initial}")
+        if not 0.0 <= self.exploration_final <= 1.0:
+            raise ValueError(f"exploration_final must be in [0, 1], got {self.exploration_final}")
         if not 0.0 <= self.exploration_fraction <= 1.0:
             raise ValueError("exploration_fraction must be in [0, 1]")
         if self.optimizer not in ("sgd", "adam"):
@@ -88,10 +92,12 @@ def epsilon_greedy(action_values: np.ndarray, epsilon: float, rng: np.random.Gen
 
 @dataclass(frozen=True)
 class Transition:
-    state: np.ndarray
+    """One env step; a state is an observation vector or an observation index."""
+
+    state: np.ndarray | int
     action: int
     reward: float
-    next_state: np.ndarray
+    next_state: np.ndarray | int
     done: bool
 
 

@@ -3,12 +3,20 @@
 One gradient step per env step once the buffer holds batch_size
 transitions; the target network is copied from the online network every
 target_update_interval env steps.
+
+An observation is a function of the env's cursor and position, so the
+trainer keeps the env's table of every observation, the replay buffer
+stores row indices into it, and max_a Q_target is evaluated over the whole
+table once per target sync instead of over each batch.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ..errors import TrainingDiverged
 from .common import Hyperparams, TrainingLog, TrainingRecord, Transition, exploratory_action, linear_epsilon
 from .mlp import MlpPolicy, forward_cached, init_mlp, mlp_backward, mlp_forward
 from .optim import make_optimizer
@@ -20,17 +28,23 @@ def td_targets(rewards: np.ndarray, dones: np.ndarray, next_q_max: np.ndarray, g
     return rewards + gamma * np.where(dones, 0.0, next_q_max)
 
 
-def td_loss_and_grads(online: MlpPolicy, target: MlpPolicy, batch: Batch, gamma: float):
-    """Mean squared TD error and its gradients w.r.t. the online network."""
-    q_all, cache = forward_cached(online, batch.states)
-    q_taken = q_all[np.arange(len(batch.actions)), batch.actions]
-    next_q_max = mlp_forward(target, batch.next_states).max(axis=1)
-    y = td_targets(batch.rewards, batch.dones, next_q_max, gamma)
-    delta = q_taken - y
+def q_loss_and_grads(online: MlpPolicy, states: np.ndarray, actions: np.ndarray, targets: np.ndarray):
+    """Mean squared error of Q_online(s, a) against fixed targets y, and its
+    gradients w.r.t. the online network."""
+    q_all, cache = forward_cached(online, states)
+    rows = np.arange(len(actions))
+    delta = q_all[rows, actions] - targets
     loss = float(np.mean(delta * delta))
     grad_out = np.zeros_like(q_all)
-    grad_out[np.arange(len(batch.actions)), batch.actions] = 2.0 * delta / len(batch.actions)
+    grad_out[rows, actions] = 2.0 * delta / len(actions)
     return loss, mlp_backward(online, cache, grad_out)
+
+
+def td_loss_and_grads(online: MlpPolicy, target: MlpPolicy, batch: Batch, gamma: float):
+    """Mean squared TD error and its gradients w.r.t. the online network."""
+    next_q_max = mlp_forward(target, batch.next_states).max(axis=1)
+    y = td_targets(batch.rewards, batch.dones, next_q_max, gamma)
+    return q_loss_and_grads(online, batch.states, batch.actions, y)
 
 
 class DqnTrainer:
@@ -43,6 +57,12 @@ class DqnTrainer:
         sizes = [env.observation_size, *hyperparams.hidden_sizes, 2]
         self.policy = init_mlp(sizes, self.rng)
         self.target = self.policy.copy()
+        table = env.observation_table()
+        # Zero rows pad the table to a multiple of 8 rows so that every real row
+        # sits in a full gemm row tile; rows of a partial tile can round
+        # differently from the same rows in a per-batch forward pass.
+        self.observations = np.pad(table, ((0, -len(table) % 8), (0, 0)))
+        self.next_q_max = self._target_q_max()
         self.buffer = ReplayBuffer(hyperparams.buffer_size)
         self.optimizer = make_optimizer(hyperparams.optimizer, hyperparams.learning_rate)
         self.log = TrainingLog()
@@ -50,7 +70,8 @@ class DqnTrainer:
         self.last_loss = float("nan")
         self._episode_return = 0.0
         self._seed = seed
-        self._obs = env.reset(seed).flatten()
+        env.reset(seed)
+        self._obs_index = env.observation_index
 
     @property
     def epsilon(self) -> float:
@@ -62,28 +83,37 @@ class DqnTrainer:
             self.hp.exploration_fraction,
         )
 
+    def _target_q_max(self) -> np.ndarray:
+        """max_a Q_target(s, a) for every row of the observation table."""
+        return mlp_forward(self.target, self.observations).max(axis=1)
+
     def train_step(self) -> None:
         eps = self.epsilon
         action = exploratory_action(eps, self.policy.output_size, self.rng)
         if action is None:
-            action = int(np.argmax(mlp_forward(self.policy, self._obs)))
+            action = int(np.argmax(mlp_forward(self.policy, self.observations[self._obs_index])))
         result = self.env.step(action)
-        next_obs = result.observation.flatten()
-        self.buffer.push(Transition(self._obs, action, result.reward, next_obs, result.done))
+        next_index = self.env.observation_index
+        self.buffer.push(Transition(self._obs_index, action, result.reward, next_index, result.done))
         self._episode_return += result.reward
-        self._obs = next_obs
+        self._obs_index = next_index
         self.step_count += 1
         if len(self.buffer) >= self.hp.batch_size:
             batch = self.buffer.sample(self.hp.batch_size, self.rng)
-            loss, grads = td_loss_and_grads(self.policy, self.target, batch, self.hp.gamma)
+            y = td_targets(batch.rewards, batch.dones, self.next_q_max[batch.next_states], self.hp.gamma)
+            loss, grads = q_loss_and_grads(self.policy, self.observations[batch.states], batch.actions, y)
+            if not math.isfinite(loss):
+                raise TrainingDiverged(self.step_count, loss)
             self.optimizer.update(self.policy.flat, grads)
             self.last_loss = loss
         if self.step_count % self.hp.target_update_interval == 0:
             self.target = self.policy.copy()
+            self.next_q_max = self._target_q_max()
         if result.done:
             self.log.append(TrainingRecord(self.step_count, self._episode_return, self.last_loss, eps))
             self._episode_return = 0.0
-            self._obs = self.env.reset(self._seed).flatten()
+            self.env.reset(self._seed)
+            self._obs_index = self.env.observation_index
 
     def run(self) -> TrainingLog:
         while self.step_count < self.hp.total_timesteps:

@@ -23,7 +23,8 @@ class ReplayBuffer:
     """Ring buffer of transitions; the oldest entry is evicted at capacity.
 
     Sampling is uniform with replacement from the stored transitions,
-    driven by the caller's generator.
+    driven by the caller's generator. States keep the dtype and shape of
+    the first pushed state: float vectors, or integer observation indices.
     """
 
     def __init__(self, capacity: int):
@@ -41,10 +42,10 @@ class ReplayBuffer:
         return min(self.insertions, self.capacity)
 
     def push(self, transition: Transition) -> None:
-        state = np.asarray(transition.state, dtype=float)
+        state = np.asarray(transition.state)
         if self._states is None:
-            self._states = np.zeros((self.capacity, state.shape[0]))
-            self._next_states = np.zeros((self.capacity, state.shape[0]))
+            self._states = np.zeros((self.capacity, *state.shape), dtype=state.dtype)
+            self._next_states = np.zeros((self.capacity, *state.shape), dtype=state.dtype)
         slot = self.insertions % self.capacity
         self._states[slot] = state
         self._actions[slot] = transition.action

@@ -64,6 +64,15 @@ class ShapeMismatch(QuantrlError):
     """Array shape incompatible with the network or file header."""
 
 
+class TrainingDiverged(QuantrlError):
+    """A training update produced a non-finite loss."""
+
+    def __init__(self, step: int, loss: float):
+        super().__init__(f"step {step}: loss {loss} is not finite")
+        self.step = step
+        self.loss = loss
+
+
 class BufferTooSmall(QuantrlError):
     """Replay buffer holds fewer transitions than the requested batch."""
 

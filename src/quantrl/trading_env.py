@@ -27,7 +27,7 @@ from .errors import (
 )
 from .indicators import FeatureMatrix
 from .market_data import OhlcvSeries
-from .normalize import NormalizationKind, NormalizationStats, apply_kind, fit, window_log
+from .normalize import NormalizationKind, NormalizationStats, apply_kind, fit
 
 
 class Action(IntEnum):
@@ -71,7 +71,8 @@ class EnvConfig:
 @dataclass(frozen=True)
 class ObservationWindow:
     """window_size x n_features block of normalized values, newest row last,
-    plus the optional trailing position flag (0 = Short, 1 = Long)."""
+    plus the optional trailing position flag (0 = Short, 1 = Long). From an
+    env, ``values`` is a read-only view of its window table."""
 
     values: np.ndarray
     position_flag: float | None = None
@@ -182,6 +183,7 @@ class TradingEnv:
                 f"more than {len(series)} bars"
             )
         self._norm = self._normalized_features(stats)
+        self._windows = self._window_table()
         self._cursor = self._start
         self._done = True
         self._position = Position.SHORT
@@ -221,6 +223,39 @@ class TradingEnv:
             out[self._warmup :, j] = apply_kind(kind, defined[:, j], st)
         return out
 
+    def _window_table(self) -> np.ndarray:
+        """Read-only table of every cursor's normalized window, flattened row-major,
+        one row per cursor from start_cursor to the last bar.
+
+        A window's rows are contiguous in ``_norm``, so the table is a view of it,
+        except for WindowLog, whose values depend on the window's first cell.
+        """
+        window = self.config.window_size
+        table = np.lib.stride_tricks.sliding_window_view(
+            self._norm[self._start - window + 1 :], (window, self.features.width)
+        )[:, 0].reshape(len(self.series) - self._start, -1)
+        if self.config.normalization == NormalizationKind.WINDOW_LOG:
+            table = np.log(table / table[:, :1]) * 10.0
+        table.flags.writeable = False
+        return table
+
+    def observation_table(self) -> np.ndarray:
+        """Every observation the env can produce, one flattened observation per
+        row, indexed by ``observation_index``: per cursor, the Short-flag row then
+        the Long-flag row, or the window alone when the flag is off."""
+        if not self.config.include_position_flag:
+            return self._windows.copy()
+        table = np.empty((len(self._windows), 2, self.observation_size))
+        table[:, :, :-1] = self._windows[:, None]
+        table[:, :, -1] = (Position.SHORT, Position.LONG)
+        return table.reshape(2 * len(self._windows), -1)
+
+    @property
+    def observation_index(self) -> int:
+        """Row of ``observation_table()`` equal to the current observation."""
+        row = self._cursor - self._start
+        return 2 * row + int(self._position) if self.config.include_position_flag else row
+
     @property
     def done(self) -> bool:
         return self._done
@@ -247,12 +282,9 @@ class TradingEnv:
         return base + 1 if self.config.include_position_flag else base
 
     def _observe(self) -> ObservationWindow:
-        lo = self._cursor - self.config.window_size + 1
-        block = self._norm[lo : self._cursor + 1]
-        if self.config.normalization == NormalizationKind.WINDOW_LOG:
-            block = window_log(block)
+        values = self._windows[self._cursor - self._start].reshape(self.config.window_size, -1)
         flag = float(self._position) if self.config.include_position_flag else None
-        return ObservationWindow(values=block.copy(), position_flag=flag)
+        return ObservationWindow(values=values, position_flag=flag)
 
     def reset(self, seed: int | None = None) -> ObservationWindow:
         self._cursor = self._start

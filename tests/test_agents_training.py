@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from quantrl.agents import (
     save_policy,
     value_loss,
 )
-from quantrl.errors import BufferTooSmall, CorruptFile, ShapeMismatch
+from quantrl.errors import BufferTooSmall, CorruptFile, ShapeMismatch, TrainingDiverged
 
 
 def tiny_env(n=60, seed=3, **config_kwargs) -> TradingEnv:
@@ -83,6 +85,19 @@ def test_replay_sampling_seeded():
     a = buf.sample(8, np.random.default_rng(9)).rewards
     b = buf.sample(8, np.random.default_rng(9)).rewards
     assert np.array_equal(a, b)
+
+
+def test_replay_integer_states_round_trip():
+    buf = ReplayBuffer(8)
+    for i in range(8):
+        buf.push(Transition(i, i % 2, float(i), i + 1, i == 7))
+    batch = buf.sample(8, np.random.default_rng(0))
+    assert np.issubdtype(batch.states.dtype, np.integer) and batch.states.shape == (8,)
+    assert np.issubdtype(batch.next_states.dtype, np.integer) and batch.next_states.shape == (8,)
+    assert np.array_equal(batch.next_states, batch.states + 1)
+    assert np.array_equal(batch.actions, batch.states % 2)
+    assert np.array_equal(batch.rewards, batch.states.astype(float))
+    assert np.array_equal(batch.dones, batch.states == 7)
 
 
 # --- policy persistence -----------------------------------------------------------
@@ -167,6 +182,28 @@ def test_dqn_target_sync_only_at_interval():
             assert same, f"target changed off-interval at step {trainer.step_count}"
 
 
+def test_dqn_next_q_max_lookup_matches_batch_forward():
+    env = tiny_env()
+    next_observations = []
+    step = env.step
+
+    def recording_step(action):
+        result = step(action)
+        next_observations.append(result.observation.flatten())
+        return result
+
+    env.step = recording_step
+    trainer = DqnTrainer(env, tiny_hp(buffer_size=128), seed=0)
+    episode_steps = len(env.series) - 1 - env.start_cursor
+    while trainer.step_count < episode_steps + 2 * trainer.hp.target_update_interval:
+        trainer.train_step()
+        n = len(trainer.buffer)
+        looked_up = trainer.next_q_max[trainer.buffer._next_states[:n]]
+        reference = mlp_forward(trainer.target, np.array(next_observations)).max(axis=1)
+        np.testing.assert_allclose(looked_up, reference, rtol=1e-12, atol=0.0)
+    assert trainer.buffer._dones[: len(trainer.buffer)].any()
+
+
 def test_dqn_epsilon_anneals():
     trainer = DqnTrainer(tiny_env(), tiny_hp(), seed=0)
     assert trainer.epsilon == 1.0
@@ -209,6 +246,16 @@ def test_dqn_determinism():
     assert len(l1) == len(l2)
     for r1, r2 in zip(l1.records, l2.records):
         assert r1 == r2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("train, learning_rate", [(dqn_train, 1.0), (a2c_train, 1e6), (ppo_train, 1e6)],
+                         ids=["dqn", "a2c", "ppo"])
+def test_divergence_raises_training_diverged(train, learning_rate):
+    with pytest.raises(TrainingDiverged) as err:
+        train(lambda: tiny_env(), tiny_hp(learning_rate=learning_rate), seed=0)
+    assert not math.isfinite(err.value.loss)
+    assert 0 < err.value.step <= 300
 
 
 def test_dqn_different_seeds_differ():
@@ -316,3 +363,7 @@ def test_hyperparams_validation():
         Hyperparams(clip_range=0.0)
     with pytest.raises(ValueError):
         Hyperparams(optimizer="rmsprop")
+    with pytest.raises(ValueError, match="exploration_initial"):
+        Hyperparams(exploration_initial=1.5)
+    with pytest.raises(ValueError, match="exploration_final"):
+        Hyperparams(exploration_final=-0.1)

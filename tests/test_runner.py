@@ -7,7 +7,7 @@ from conftest import random_walk_series
 from quantrl import NormalizationKind, RewardKind, save_csv
 from quantrl.errors import SchemaError
 from quantrl.runner import config_hash, load_config, resolve_config
-from quantrl.runner.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, cli
+from quantrl.runner.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, cli
 
 
 @pytest.fixture()
@@ -124,6 +124,24 @@ def test_cli_missing_config_exit_code(capsys):
     err = capsys.readouterr().err
     payload = json.loads(err.strip().splitlines()[-1])
     assert "/nonexistent/config.json" in payload["message"]
+
+
+@pytest.mark.parametrize("key, value", [("exploration_initial", 1.5), ("exploration_final", -0.1)])
+def test_cli_exploration_out_of_range_is_config_error(tmp_path, data_csv, capsys, key, value):
+    cfg = write_config(tmp_path, data_csv, agent={key: value})
+    assert cli(["train", "--config", str(cfg)]) == EXIT_CONFIG
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config"
+    assert payload["message"].startswith(f"agent.{key}:")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_diverged_training_is_named(tmp_path, data_csv, capsys):
+    cfg = write_config(tmp_path, data_csv, agent={"learning_rate": 1.0})
+    assert cli(["train", "--config", str(cfg)]) == EXIT_RUNTIME
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "runtime"
+    assert payload["type"] == "TrainingDiverged"
 
 
 def test_cli_unknown_flag_rejected():

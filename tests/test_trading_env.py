@@ -332,6 +332,59 @@ def test_frozen_stats_reused_for_evaluation():
     assert not np.array_equal(fresh.reset(0).values, obs.values)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("kind, frozen", [
+    (NormalizationKind.MIN_MAX, False), (NormalizationKind.Z_SCORE, False),
+    (NormalizationKind.SIGMOID, False), (NormalizationKind.L2, False),
+    (NormalizationKind.WINDOW_LOG, False), (NormalizationKind.MIN_MAX, True),
+    (NormalizationKind.Z_SCORE, True), (NormalizationKind.SIGMOID, True),
+])
+def test_observation_table_rows_equal_observations(kind, frozen, flag):
+    from quantrl import OhlcvSeries, fit, window_log
+
+    series = random_walk_series(70, seed=12)
+    # WindowLog needs strictly positive features
+    specs = [IndicatorSpec("SMA", 2), IndicatorSpec("WMA", 3)]
+    if kind != NormalizationKind.WINDOW_LOG:
+        specs.append(IndicatorSpec("RSI", 5))
+    features = compute_feature_matrix(series, specs)
+    stats = None
+    if frozen:
+        fitted = compute_feature_matrix(OhlcvSeries(series.symbol, series.bars[:40]), specs)
+        stats = [fit(col.defined) for col in fitted.columns]
+    window = 4
+    env = TradingEnv(series, features, EnvConfig(window_size=window, normalization=kind,
+                                                 include_position_flag=flag), stats=stats)
+    table = env.observation_table()
+
+    def reference(cursor, position):
+        block = env._norm[cursor - window + 1 : cursor + 1]
+        if kind == NormalizationKind.WINDOW_LOG:
+            block = window_log(block)
+        return np.append(block.ravel(), float(position)) if flag else block.ravel()
+
+    cursors = range(env.start_cursor, len(series))
+    assert table.shape == ((2 if flag else 1) * len(cursors), env.observation_size)
+    for row, cursor in enumerate(cursors):
+        for position in (Position.SHORT, Position.LONG) if flag else (Position.SHORT,):
+            index = 2 * row + int(position) if flag else row
+            assert np.array_equal(table[index], reference(cursor, position))
+
+    actions = np.random.default_rng(4).integers(2, size=len(series))
+    obs = env.reset(0)
+    with pytest.raises(ValueError):
+        obs.values[0, 0] = 0.0
+    for action in actions:
+        expected = reference(env.cursor, env.position)
+        assert np.array_equal(obs.flatten(), expected)
+        assert np.array_equal(table[env.observation_index], expected)
+        result = env.step(int(action))
+        obs = result.observation
+        if result.done:
+            break
+    assert np.array_equal(obs.flatten(), reference(env.cursor, env.position))
+
+
 def test_position_flag_toggle():
     env = build_env(closes=np.linspace(100, 110, 20), window_size=2, include_position_flag=True)
     obs = env.reset(0)
