@@ -8,9 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TrainingDiverged
+from ..trading_env import ObservationWindow
 from .common import Hyperparams, TrainingLog, TrainingRecord
 from .losses import policy_gradient_loss, value_loss
-from .mlp import MlpPolicy, init_mlp, mlp_forward, softmax
+from .mlp import MlpPolicy, init_mlp, mlp_forward, softmax_pair
 from .optim import make_optimizer
 
 
@@ -34,20 +35,38 @@ def n_step_returns(rewards: np.ndarray, dones: np.ndarray, bootstrap: float, gam
 
 
 def sample_action(actor: MlpPolicy, obs: np.ndarray, rng: np.random.Generator) -> int:
-    probs = softmax(mlp_forward(actor, obs))
-    return int(rng.choice(len(probs), p=probs))
+    """Draw Sell (0) or Buy (1) from softmax(actor(obs)) with one rng.random().
+
+    This is the inverse-CDF rule of ``rng.choice(2, p=probs)`` (cumsum, divide
+    by the last entry, searchsorted right), so actions and generator state match
+    it draw for draw. Raises ValueError when the probabilities are not finite.
+    """
+    p0, p1 = softmax_pair(mlp_forward(actor, obs)).tolist()
+    threshold = p0 / (p0 + p1)
+    if math.isnan(threshold):
+        raise ValueError(f"action probabilities ({p0}, {p1}) are not finite")
+    return int(rng.random() >= threshold)
 
 
 class _Rollout:
+    """n_steps transitions, written in place. ``observations`` holds the
+    observation of each step and, in its last row, the one after the rollout;
+    ``states`` views the first n_steps rows."""
+
     def __init__(self, n_steps: int, obs_size: int):
-        self.states = np.zeros((n_steps, obs_size))
+        self.observations = np.zeros((n_steps + 1, obs_size))
+        self.states = self.observations[:n_steps]
+        self._rows = list(self.observations)
         self.actions = np.zeros(n_steps, dtype=np.int64)
         self.rewards = np.zeros(n_steps)
         self.dones = np.zeros(n_steps, dtype=bool)
         self.fill = 0
 
-    def add(self, state, action, reward, done) -> None:
-        self.states[self.fill] = state
+    def observe(self, window: ObservationWindow) -> np.ndarray:
+        """Write the observation of the next step into its row; returns the row."""
+        return window.flatten(self._rows[self.fill])
+
+    def add(self, action, reward, done) -> None:
         self.actions[self.fill] = action
         self.rewards[self.fill] = reward
         self.dones[self.fill] = done
@@ -57,16 +76,19 @@ class _Rollout:
     def full(self) -> bool:
         return self.fill == len(self.states)
 
-    def clear(self) -> None:
+    def clear(self) -> np.ndarray:
+        """Start the next rollout from the observation after this one; returns its row."""
+        self.observations[0] = self.observations[-1]
         self.fill = 0
+        return self._rows[0]
 
 
 def train_on_policy(env_factory, hp: Hyperparams, seed: int, update) -> tuple[ActorCritic, TrainingLog]:
     """Shared A2C/PPO loop: build the nets, sample actions into n_steps
     rollouts and log episodes. Each full rollout goes to
     ``update(nets, actor_opt, critic_opt, rollout, obs, rng)``, which returns
-    the loss to log; ``obs`` is the observation after the rollout. A
-    non-finite loss raises TrainingDiverged."""
+    the loss to log; ``obs`` is the observation after the rollout. Non-finite
+    action probabilities or a non-finite loss raise TrainingDiverged."""
     env = env_factory()
     rng = np.random.default_rng(seed)
     actor = init_mlp([env.observation_size, *hp.hidden_sizes, 2], rng)
@@ -76,26 +98,30 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update) -> tuple[Ac
     critic_opt = make_optimizer(hp.optimizer, hp.learning_rate)
     log = TrainingLog()
     rollout = _Rollout(hp.n_steps, env.observation_size)
-    obs = env.reset(seed).flatten()
+    obs = rollout.observe(env.reset(seed))
     episode_return = 0.0
     last_loss = float("nan")
     steps = 0
     while steps < hp.total_timesteps:
-        action = sample_action(actor, obs, rng)
+        try:
+            action = sample_action(actor, obs, rng)
+        except ValueError as exc:
+            raise TrainingDiverged(steps + 1, float("nan")) from exc
         result = env.step(action)
-        rollout.add(obs, action, result.reward, result.done)
+        rollout.add(action, result.reward, result.done)
         episode_return += result.reward
-        obs = result.observation.flatten()
         steps += 1
+        window = result.observation
         if result.done:
             log.append(TrainingRecord(steps, episode_return, last_loss))
             episode_return = 0.0
-            obs = env.reset(seed).flatten()
+            window = env.reset(seed)
+        obs = rollout.observe(window)
         if rollout.full:
             last_loss = update(nets, actor_opt, critic_opt, rollout, obs, rng)
             if not math.isfinite(last_loss):
                 raise TrainingDiverged(steps, last_loss)
-            rollout.clear()
+            obs = rollout.clear()
     return nets, log
 
 

@@ -43,11 +43,12 @@ def ppo_train(env_factory, hyperparams: Hyperparams, seed: int) -> tuple[ActorCr
             order = rng.permutation(hp.n_steps)
             for lo in range(0, hp.n_steps, minibatch):
                 idx = order[lo : lo + minibatch]
+                states = rollout.states[idx]
                 actor_loss, actor_grads = ppo_policy_loss(
-                    nets.actor, rollout.states[idx], rollout.actions[idx],
+                    nets.actor, states, rollout.actions[idx],
                     logp_old[idx], advantages[idx], hp.clip_range, hp.entropy_coef,
                 )
-                critic_loss, critic_grads = value_loss(nets.critic, rollout.states[idx], returns[idx])
+                critic_loss, critic_grads = value_loss(nets.critic, states, returns[idx])
                 actor_opt.update(nets.actor.flat, actor_grads)
                 critic_opt.update(nets.critic.flat, critic_grads * hp.value_coef)
         return actor_loss + hp.value_coef * critic_loss

@@ -18,7 +18,7 @@ import numpy as np
 
 from .agents.mlp import MlpPolicy, mlp_forward
 from .errors import ShapeMismatch, TooFewSamples
-from .trading_env import Action, EpisodeLedger, Position, TradingEnv
+from .trading_env import EpisodeLedger, Position, TradingEnv
 
 TRADES_HEADER = "direction,entry_idx,entry_px,exit_idx,exit_px,ret,win"
 
@@ -78,7 +78,7 @@ def run_policy(env: TradingEnv, policy: MlpPolicy, seed: int | None = None):
     trades; a same-bar reversal produces no trade record (commission still
     applies to equity).
     """
-    obs = env.reset(seed)
+    window = env.reset(seed)
     if policy.input_size != env.observation_size:
         raise ShapeMismatch(
             f"policy input {policy.input_size} != observation size {env.observation_size}"
@@ -89,9 +89,10 @@ def run_policy(env: TradingEnv, policy: MlpPolicy, seed: int | None = None):
     entry_px = float(closes[entry_idx])
     direction = env.position
     trades: list[Trade] = []
+    obs = np.empty(env.observation_size)
     done = False
     while not done:
-        action = Action(int(np.argmax(mlp_forward(policy, obs.flatten()))))
+        action = int(np.argmax(mlp_forward(policy, window.flatten(obs))))
         flip_at = env.cursor
         result = env.step(action)
         if result.info["trade_executed"]:
@@ -101,7 +102,7 @@ def run_policy(env: TradingEnv, policy: MlpPolicy, seed: int | None = None):
                 trades.append(Trade(direction, entry_idx, entry_px, flip_at, exit_px, ret, ret > 0.0))
             direction = env.position
             entry_idx, entry_px = flip_at, exit_px
-        obs = result.observation
+        window = result.observation
         done = result.done
     last_idx = env.cursor
     if last_idx > entry_idx:

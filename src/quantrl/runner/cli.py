@@ -182,7 +182,7 @@ def _cmd_backtest(args) -> int:
         artifacts={name: str(path) for name, path in paths.items()},
         version=__version__,
     )
-    manifest.write(out / "manifest.json")
+    manifest.write(out / "backtest_manifest.json")
     print(f"wrote {paths['report']} (return {report.return_pct:.3f}%, {report.n_trades} trades)")
     return EXIT_OK
 

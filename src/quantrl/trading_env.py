@@ -39,9 +39,11 @@ class Position(IntEnum):
     SHORT = 0
     LONG = 1
 
-    @property
-    def other(self) -> "Position":
-        return Position.LONG if self is Position.SHORT else Position.SHORT
+
+# TradingEnv.step's lookups: the member for each action value, and the side an
+# action leaves the agent on (always in the market, so Buy ends Long, Sell Short).
+_ACTIONS = {int(a): a for a in Action}
+_SIDE_AFTER = (Position.SHORT, Position.LONG)
 
 
 class RewardKind(str, Enum):
@@ -77,11 +79,16 @@ class ObservationWindow:
     values: np.ndarray
     position_flag: float | None = None
 
-    def flatten(self) -> np.ndarray:
+    def flatten(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The observation as one vector: the window row-major, then the flag.
+        Written into ``out`` and returned as ``out`` when given."""
         flat = np.asarray(self.values, dtype=float).ravel()
-        if self.position_flag is None:
-            return flat
-        return np.append(flat, self.position_flag)
+        if out is None:
+            return flat if self.position_flag is None else np.append(flat, self.position_flag)
+        out[: flat.size] = flat
+        if self.position_flag is not None:
+            out[-1] = self.position_flag
+        return out
 
 
 @dataclass(frozen=True)
@@ -182,8 +189,12 @@ class TradingEnv:
                 f"warm-up {self._warmup} + window {self.config.window_size} needs "
                 f"more than {len(series)} bars"
             )
+        self._last = len(series) - 1
+        self._flagged = self.config.include_position_flag
+        self._reward_kind = self.config.reward_kind
         self._norm = self._normalized_features(stats)
         self._windows = self._window_table()
+        self._blocks = self._windows.reshape(len(self._windows), self.config.window_size, features.width)
         self._cursor = self._start
         self._done = True
         self._position = Position.SHORT
@@ -282,9 +293,8 @@ class TradingEnv:
         return base + 1 if self.config.include_position_flag else base
 
     def _observe(self) -> ObservationWindow:
-        values = self._windows[self._cursor - self._start].reshape(self.config.window_size, -1)
-        flag = float(self._position) if self.config.include_position_flag else None
-        return ObservationWindow(values=values, position_flag=flag)
+        values = self._blocks[self._cursor - self._start]
+        return ObservationWindow(values, float(self._position) if self._flagged else None)
 
     def reset(self, seed: int | None = None) -> ObservationWindow:
         self._cursor = self._start
@@ -299,36 +309,38 @@ class TradingEnv:
     def step(self, action: Action | int) -> StepResult:
         if self._done:
             raise SteppedAfterDone("episode finished; call reset()")
-        action = Action(action)
+        try:
+            action = _ACTIONS[action]
+        except (KeyError, TypeError):
+            action = Action(action)  # raises ValueError on an invalid action
+        position = _SIDE_AFTER[action]
+        flipped = position is not self._position
         price_now = float(self._closes[self._cursor])
-        flipped = (action == Action.BUY) == (self._position == Position.SHORT)
         flip_reward = 0.0
         if flipped:
             flip_reward = reward_on_flip(True, self._position, self._last_trade_price, price_now)
-            self._position = self._position.other
+            self._position = position
             self._last_trade_price = price_now
             self._equity *= 1.0 - self.config.commission
         self._cursor += 1
         price_next = float(self._closes[self._cursor])
-        if self._position is Position.LONG:
+        if position is Position.LONG:
             self._equity *= price_next / price_now
         else:
             self._equity *= price_now / price_next
-        self._done = self._cursor == len(self.series) - 1
-        kind = self.config.reward_kind
+        self._done = self._cursor == self._last
+        kind = self._reward_kind
         if kind == RewardKind.IMMEDIATE:
-            reward = reward_immediate(self._position, price_now, price_next)
+            reward = reward_immediate(position, price_now, price_next)
         elif kind == RewardKind.ON_FLIP:
             reward = flip_reward
         else:
             reward = reward_terminal(self._done, self.config.initial_cash, self._equity)
         self._step_index += 1
-        self.ledger.append(
-            LedgerRecord(self._step_index, action, self._position, price_next, reward, self._equity)
-        )
+        self.ledger.append(LedgerRecord(self._step_index, action, position, price_next, reward, self._equity))
         info = {
             "equity": self._equity,
-            "position": self._position,
+            "position": position,
             "last_trade_price": self._last_trade_price,
             "trade_executed": flipped,
         }

@@ -213,6 +213,7 @@ def uptrend_env() -> TradingEnv:
     return TradingEnv(series, features, EnvConfig(window_size=10, include_position_flag=False))
 
 
+@pytest.mark.slow
 def test_criterion_05_dqn_uptrend():
     start = time.time()
     hyperparams = Hyperparams(total_timesteps=50_000)  # Table-1 defaults otherwise
@@ -264,6 +265,7 @@ def exhaustive_best_log_return(closes: np.ndarray, start: int, commission: float
     return best
 
 
+@pytest.mark.slow
 def test_criterion_06_oracle_optimal_market():
     env = zigzag_env()
     steps = len(env.series) - 1 - env.start_cursor
@@ -288,6 +290,7 @@ def test_criterion_06_oracle_optimal_market():
 # --- 7. learning-rate contrast --------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_07_learning_rate_contrast():
     series = random_walk_series(505, seed=11)
     features = compute_feature_matrix(series, default_specs())

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import quantrl.agents.a2c as a2c_module
 from conftest import random_walk_series
-from quantrl import EnvConfig, IndicatorSpec, TradingEnv, compute_feature_matrix
+from quantrl import EnvConfig, IndicatorSpec, NormalizationKind, TradingEnv, compute_feature_matrix
 from quantrl.agents import (
     ActorCritic,
     DqnTrainer,
@@ -21,9 +22,13 @@ from quantrl.agents import (
     n_step_returns,
     policy_gradient_loss,
     ppo_train,
+    sample_action,
     save_policy,
+    softmax,
     value_loss,
 )
+from quantrl.agents.a2c import train_on_policy
+from quantrl.agents.mlp import softmax_pair
 from quantrl.errors import BufferTooSmall, CorruptFile, ShapeMismatch, TrainingDiverged
 
 
@@ -367,3 +372,91 @@ def test_hyperparams_validation():
         Hyperparams(exploration_initial=1.5)
     with pytest.raises(ValueError, match="exploration_final"):
         Hyperparams(exploration_final=-0.1)
+
+
+# --- on-policy acting path --------------------------------------------------------
+
+
+def logit_pairs(seed: int = 0) -> np.ndarray:
+    """100 000 seeded logit pairs: spreads up to +-40, exact and one-ulp ties, signed zeros."""
+    rng = np.random.default_rng(seed)
+    ties = np.repeat(rng.uniform(-40.0, 40.0, size=(10_000, 1)), 2, axis=1)
+    near = ties[:5_000].copy()
+    near[:, 1] = np.nextafter(near[:, 0], np.inf)
+    edges = rng.choice([0.0, -0.0, 40.0, -40.0, 1e-300, -1e-300], size=(5_000, 2))
+    return np.concatenate([
+        rng.uniform(-40.0, 40.0, size=(70_000, 2)), rng.normal(size=(10_000, 2)), ties, near, edges,
+    ])
+
+
+def test_softmax_pair_equals_softmax_bit_for_bit():
+    for logits in logit_pairs():
+        assert softmax_pair(logits).tobytes() == softmax(logits).tobytes(), logits
+
+
+def test_sample_action_matches_generator_choice(monkeypatch):
+    monkeypatch.setattr(a2c_module, "mlp_forward", lambda actor, obs: obs)
+    ours, reference = np.random.default_rng(11), np.random.default_rng(11)
+    pairs = logit_pairs(seed=1)
+    actions = [sample_action(None, logits, ours) for logits in pairs]
+    expected = [int(reference.choice(2, p=softmax(logits))) for logits in pairs]
+    assert actions == expected
+    assert 0 < sum(actions) < len(actions)
+    assert ours.bit_generator.state == reference.bit_generator.state
+
+
+class RecordingEnv:
+    """A TradingEnv that records, per step, the observation the action was chosen from."""
+
+    def __init__(self, env: TradingEnv):
+        self.env = env
+        self.observation_size = env.observation_size
+        self.acted: list[np.ndarray] = []
+        self.current = None
+
+    def reset(self, seed=None):
+        window = self.env.reset(seed)
+        self.current = window.flatten()
+        return window
+
+    def step(self, action):
+        self.acted.append(self.current)
+        result = self.env.step(action)
+        self.current = result.observation.flatten()
+        return result
+
+
+@pytest.mark.parametrize("normalization", [NormalizationKind.MIN_MAX, NormalizationKind.WINDOW_LOG])
+@pytest.mark.parametrize("flag", [True, False])
+def test_rollout_states_equal_observations(normalization, flag):
+    env = RecordingEnv(tiny_env(normalization=normalization, include_position_flag=flag))
+    seen = []
+
+    def update(nets, actor_opt, critic_opt, rollout, obs, rng) -> float:
+        seen.append((rollout.states.copy(), obs.copy(), env.current))
+        return 0.0
+
+    hp = tiny_hp(total_timesteps=200, n_steps=8)
+    train_on_policy(lambda: env, hp, seed=2, update=update)
+    assert len(seen) == 25 and len(env.acted) == 200
+    for k, (states, obs, after) in enumerate(seen):
+        assert np.array_equal(states, np.array(env.acted[8 * k : 8 * (k + 1)]))
+        assert np.array_equal(obs, after)
+    assert env.acted[0].shape == (env.observation_size,)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("train", [a2c_train, ppo_train], ids=["a2c", "ppo"])
+def test_non_finite_actor_raises_training_diverged(monkeypatch, train, value):
+    def poisoned(layer_sizes, rng):
+        net = init_mlp(layer_sizes, rng)
+        if layer_sizes[-1] == 2:  # the actor
+            net.flat[:] = value
+        return net
+
+    monkeypatch.setattr(a2c_module, "init_mlp", poisoned)
+    with pytest.raises(TrainingDiverged) as err:
+        train(lambda: tiny_env(), tiny_hp(), seed=0)
+    assert err.value.step == 1
+    assert math.isnan(err.value.loss)

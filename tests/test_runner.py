@@ -251,6 +251,40 @@ def test_cli_backtest_artifacts_round_trip(tmp_path, data_csv):
     assert (run / "equity.svg").read_text().startswith("<svg")
 
 
+def test_cli_backtest_keeps_train_manifest(tmp_path, data_csv):
+    cfg = write_config(tmp_path, data_csv)
+    assert cli(["train", "--config", str(cfg)]) == EXIT_OK
+    assert cli(["backtest", "--config", str(cfg)]) == EXIT_OK
+    run = tmp_path / "run"
+    train_manifest = json.loads((run / "manifest.json").read_text())
+    backtest_manifest = json.loads((run / "backtest_manifest.json").read_text())
+    assert set(train_manifest["artifacts"]) == {"policy", "training_log"}
+    assert "report" in backtest_manifest["artifacts"]
+    assert train_manifest["config_hash"] == backtest_manifest["config_hash"]
+
+
+def test_manifest_environment_outside_config_hash(tmp_path, data_csv, monkeypatch):
+    cfg = write_config(tmp_path, data_csv)
+    manifests = []
+    for name, threads, coretype in (("a", "1", None), ("b", "2", "Prescott")):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        if coretype is None:
+            monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+        assert cli(["train", "--config", str(cfg), "--out", str(tmp_path / name)]) == EXIT_OK
+        manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+    a, b = manifests
+    assert a["config_hash"] == b["config_hash"]
+    assert a["environment"]["numpy"] == np.__version__
+    assert a["environment"]["python"] and "blas" in a["environment"]
+    assert a["environment"]["variables"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert "OPENBLAS_CORETYPE" not in a["environment"]["variables"]
+    assert b["environment"]["variables"]["OPENBLAS_NUM_THREADS"] == "2"
+    assert b["environment"]["variables"]["OPENBLAS_CORETYPE"] == "Prescott"
+    assert (tmp_path / "a" / "policy.bin").read_bytes() == (tmp_path / "b" / "policy.bin").read_bytes()
+
+
 @pytest.mark.parametrize("algorithm", ["A2C", "PPO"])
 def test_cli_train_other_algorithms(tmp_path, data_csv, algorithm):
     cfg = write_config(
