@@ -9,9 +9,9 @@ import numpy as np
 
 from ..errors import TrainingDiverged
 from ..trading_env import ObservationWindow
-from .common import Hyperparams, TrainingLog, TrainingRecord
+from .common import Hyperparams, RowBlocks, TrainingLog, TrainingRecord
 from .losses import policy_gradient_loss, value_loss
-from .mlp import MlpPolicy, init_mlp, mlp_forward, softmax_pair
+from .mlp import MlpPolicy, init_mlp, mlp_forward, softmax, softmax_pair
 from .optim import make_optimizer
 
 
@@ -46,6 +46,12 @@ def sample_action(actor: MlpPolicy, obs: np.ndarray, rng: np.random.Generator) -
     if math.isnan(threshold):
         raise ValueError(f"action probabilities ({p0}, {p1}) are not finite")
     return int(rng.random() >= threshold)
+
+
+def sell_thresholds(actor: MlpPolicy, rows: np.ndarray) -> np.ndarray:
+    """``sample_action``'s threshold p0 / (p0 + p1) for each observation row."""
+    probs = softmax(mlp_forward(actor, rows))
+    return probs[:, 0] / (probs[:, 0] + probs[:, 1])
 
 
 class _Rollout:
@@ -88,7 +94,11 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update) -> tuple[Ac
     rollouts and log episodes. Each full rollout goes to
     ``update(nets, actor_opt, critic_opt, rollout, obs, rng)``, which returns
     the loss to log; ``obs`` is the observation after the rollout. Non-finite
-    action probabilities or a non-finite loss raise TrainingDiverged."""
+    action probabilities or a non-finite loss raise TrainingDiverged.
+
+    The actor is frozen between updates, so ``sample_action``'s thresholds are
+    evaluated over the observation rows of the next n_steps + 1 cursors at once
+    and each step draws against its row's threshold, with the same rule."""
     env = env_factory()
     rng = np.random.default_rng(seed)
     actor = init_mlp([env.observation_size, *hp.hidden_sizes, 2], rng)
@@ -98,15 +108,17 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update) -> tuple[Ac
     critic_opt = make_optimizer(hp.optimizer, hp.learning_rate)
     log = TrainingLog()
     rollout = _Rollout(hp.n_steps, env.observation_size)
+    rows_per_cursor = 2 if env.config.include_position_flag else 1
+    thresholds = RowBlocks(env, lambda rows: sell_thresholds(actor, rows), (hp.n_steps + 1) * rows_per_cursor)
     obs = rollout.observe(env.reset(seed))
     episode_return = 0.0
     last_loss = float("nan")
     steps = 0
     while steps < hp.total_timesteps:
-        try:
-            action = sample_action(actor, obs, rng)
-        except ValueError as exc:
-            raise TrainingDiverged(steps + 1, float("nan")) from exc
+        threshold = thresholds.current()
+        if math.isnan(threshold):
+            raise TrainingDiverged(steps + 1, float("nan"))
+        action = int(rng.random() >= threshold)
         result = env.step(action)
         rollout.add(action, result.reward, result.done)
         episode_return += result.reward
@@ -121,6 +133,7 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update) -> tuple[Ac
             last_loss = update(nets, actor_opt, critic_opt, rollout, obs, rng)
             if not math.isfinite(last_loss):
                 raise TrainingDiverged(steps, last_loss)
+            thresholds.invalidate()
             obs = rollout.clear()
     return nets, log
 

@@ -90,6 +90,37 @@ def epsilon_greedy(action_values: np.ndarray, epsilon: float, rng: np.random.Gen
     return int(np.argmax(values)) if action is None else action
 
 
+class RowBlocks:
+    """Per-row values of a network that stays frozen while an env steps,
+    evaluated over a block of observation-table rows at a time instead of
+    over one observation per step.
+
+    ``evaluate`` maps an array of observation rows to one value per row.
+    ``current()`` returns the value at ``env.observation_index``; when that
+    row lies outside the current block, it first evaluates a new block of
+    ``size`` rows (fewer at the end of the table) starting at it. Call
+    ``invalidate()`` whenever the network changes.
+    """
+
+    def __init__(self, env, evaluate, size: int):
+        self._env = env
+        self._evaluate = evaluate
+        self._size = size
+        self.invalidate()
+
+    def invalidate(self) -> None:
+        self._lo = 0
+        self._values = []
+
+    def current(self):
+        row = self._env.observation_index
+        offset = row - self._lo
+        if not 0 <= offset < len(self._values):
+            self._values = self._evaluate(self._env.observation_rows(row, row + self._size)).tolist()
+            self._lo, offset = row, 0
+        return self._values[offset]
+
+
 @dataclass(frozen=True)
 class Transition:
     """One env step; a state is an observation vector or an observation index."""

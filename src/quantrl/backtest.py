@@ -16,11 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .agents.common import RowBlocks
 from .agents.mlp import MlpPolicy, mlp_forward
 from .errors import ShapeMismatch, TooFewSamples
 from .trading_env import EpisodeLedger, Position, TradingEnv
 
 TRADES_HEADER = "direction,entry_idx,entry_px,exit_idx,exit_px,ret,win"
+# Observation rows per greedy forward pass in run_policy: enough to amortise the
+# call, few enough that its scratch arrays leave peak memory where it was.
+BACKTEST_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -72,13 +76,14 @@ def _gross(direction: Position, entry_px: float, exit_px: float) -> float:
 
 
 def run_policy(env: TradingEnv, policy: MlpPolicy, seed: int | None = None):
-    """Run one greedy episode (argmax actions, ties to Sell).
+    """Run one greedy episode (argmax actions, ties to Sell). The policy is
+    evaluated over blocks of observation-table rows, not one row per bar.
 
     Returns (ledger, equity curve, trades). Consecutive flips pair into
     trades; a same-bar reversal produces no trade record (commission still
     applies to equity).
     """
-    window = env.reset(seed)
+    env.reset(seed)
     if policy.input_size != env.observation_size:
         raise ShapeMismatch(
             f"policy input {policy.input_size} != observation size {env.observation_size}"
@@ -89,12 +94,11 @@ def run_policy(env: TradingEnv, policy: MlpPolicy, seed: int | None = None):
     entry_px = float(closes[entry_idx])
     direction = env.position
     trades: list[Trade] = []
-    obs = np.empty(env.observation_size)
+    actions = RowBlocks(env, lambda rows: np.argmax(mlp_forward(policy, rows), axis=1), BACKTEST_BLOCK_ROWS)
     done = False
     while not done:
-        action = int(np.argmax(mlp_forward(policy, window.flatten(obs))))
         flip_at = env.cursor
-        result = env.step(action)
+        result = env.step(actions.current())
         if result.info["trade_executed"]:
             exit_px = float(closes[flip_at])
             if flip_at > entry_idx:
@@ -102,7 +106,6 @@ def run_policy(env: TradingEnv, policy: MlpPolicy, seed: int | None = None):
                 trades.append(Trade(direction, entry_idx, entry_px, flip_at, exit_px, ret, ret > 0.0))
             direction = env.position
             entry_idx, entry_px = flip_at, exit_px
-        window = result.observation
         done = result.done
     last_idx = env.cursor
     if last_idx > entry_idx:

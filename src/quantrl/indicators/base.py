@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +78,6 @@ class IndicatorSpec:
         if self.kind == "UO":
             return "UO_{}_{}_{}".format(*self.periods)
         return f"{self.kind}_{self.period}"
-
-    def with_name(self, name: str) -> "IndicatorSpec":
-        return replace(self, name=name)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,16 +92,14 @@ class ObservationWindow:
         return out
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     observation: ObservationWindow
     reward: float
     done: bool
     info: dict
 
 
-@dataclass(frozen=True)
-class LedgerRecord:
+class LedgerRecord(NamedTuple):
     step: int
     action: Action
     position: Position
@@ -254,12 +253,19 @@ class TradingEnv:
         """Every observation the env can produce, one flattened observation per
         row, indexed by ``observation_index``: per cursor, the Short-flag row then
         the Long-flag row, or the window alone when the flag is off."""
-        if not self.config.include_position_flag:
-            return self._windows.copy()
-        table = np.empty((len(self._windows), 2, self.observation_size))
-        table[:, :, :-1] = self._windows[:, None]
-        table[:, :, -1] = (Position.SHORT, Position.LONG)
-        return table.reshape(2 * len(self._windows), -1)
+        return self.observation_rows(0, len(self._windows) * (2 if self._flagged else 1))
+
+    def observation_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo..hi-1`` of ``observation_table()`` (clipped at its end like
+        a slice), built from the window table without building the whole table."""
+        if not self._flagged:
+            return self._windows[lo:hi].copy()
+        first = lo // 2
+        windows = self._windows[first : (hi + 1) // 2]
+        rows = np.empty((len(windows), 2, self.observation_size))
+        rows[:, :, :-1] = windows[:, None]
+        rows[:, :, -1] = (Position.SHORT, Position.LONG)
+        return rows.reshape(2 * len(windows), -1)[lo - 2 * first : hi - 2 * first]
 
     @property
     def observation_index(self) -> int:

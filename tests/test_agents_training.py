@@ -410,9 +410,15 @@ class RecordingEnv:
 
     def __init__(self, env: TradingEnv):
         self.env = env
+        self.config = env.config
         self.observation_size = env.observation_size
+        self.observation_rows = env.observation_rows
         self.acted: list[np.ndarray] = []
         self.current = None
+
+    @property
+    def observation_index(self):
+        return self.env.observation_index
 
     def reset(self, seed=None):
         window = self.env.reset(seed)
@@ -443,6 +449,41 @@ def test_rollout_states_equal_observations(normalization, flag):
         assert np.array_equal(states, np.array(env.acted[8 * k : 8 * (k + 1)]))
         assert np.array_equal(obs, after)
     assert env.acted[0].shape == (env.observation_size,)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_block_thresholds_match_per_row_rule(monkeypatch, flag):
+    """Each step's threshold, looked up in a block evaluated once per actor,
+    matches sample_action's per-row threshold, and the action is the rule
+    int(u >= threshold) on the step's draw."""
+    looked_up = []
+
+    class RecordingBlocks(a2c_module.RowBlocks):
+        def current(self):
+            looked_up.append(super().current())
+            return looked_up[-1]
+
+    monkeypatch.setattr(a2c_module, "RowBlocks", RecordingBlocks)
+    env = RecordingEnv(tiny_env(include_position_flag=flag))
+    actors, actions = [], []
+
+    def update(nets, actor_opt, critic_opt, rollout, obs, rng) -> float:
+        actions.extend(rollout.actions.tolist())
+        nets.actor.flat += 0.3 * np.sin(np.arange(nets.actor.flat.size) + len(actors))
+        actors.append(nets.actor.copy())
+        return 0.0
+
+    seed, hp = 5, tiny_hp(total_timesteps=400, n_steps=8)
+    train_on_policy(lambda: env, hp, seed=seed, update=update)
+    rng = np.random.default_rng(seed)
+    actors.insert(0, init_mlp([env.observation_size, *hp.hidden_sizes, 2], rng))
+    init_mlp([env.observation_size, *hp.hidden_sizes, 1], rng)
+    assert len(looked_up) == len(actions) == len(env.acted) == 400
+    for step, (obs, threshold, action) in enumerate(zip(env.acted, looked_up, actions)):
+        p0, p1 = softmax_pair(mlp_forward(actors[step // hp.n_steps], obs)).tolist()
+        assert abs(threshold - p0 / (p0 + p1)) <= 1e-15
+        assert action == int(rng.random() >= threshold)
+    assert set(actions) == {0, 1}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

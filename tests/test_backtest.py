@@ -24,7 +24,8 @@ from quantrl import (
     sortino,
     win_rate,
 )
-from quantrl.backtest import PerformanceReport, Trade
+from quantrl.agents import init_mlp, mlp_forward
+from quantrl.backtest import BACKTEST_BLOCK_ROWS, PerformanceReport, Trade
 from quantrl.errors import TooFewSamples
 
 
@@ -222,3 +223,36 @@ def test_trade_validation():
         Trade(Position.LONG, 5, 100.0, 5, 101.0, 0.01, True)
     with pytest.raises(ValueError):
         Trade(Position.LONG, 1, -1.0, 2, 101.0, 0.01, True)
+
+
+def zero_policy(obs_size: int) -> MlpPolicy:
+    """A 2-layer net of zeros: q0 == q1 on every row."""
+    return MlpPolicy([np.zeros((obs_size, 4)), np.zeros((4, 2))], [np.zeros(4), np.zeros(2)])
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("net", ["seeded0", "seeded2", "zero"])
+def test_run_policy_actions_equal_per_row_argmax(flag, net):
+    series = random_walk_series(600, seed=8)
+    features = compute_feature_matrix(series, [IndicatorSpec("SMA", 2), IndicatorSpec("RSI", 5)])
+    env = TradingEnv(series, features, EnvConfig(window_size=3, include_position_flag=flag))
+    if net == "zero":
+        policy = zero_policy(env.observation_size)
+    else:
+        rng = np.random.default_rng(int(net[-1]))
+        policy = init_mlp([env.observation_size, 16, 16, 2], rng)
+        policy.flat[:] = rng.normal(0.0, 1.0, policy.flat.size)
+    ledger, _, _ = run_policy(env, policy)
+    # several blocks of observation rows are evaluated
+    assert len(ledger) > 2 * BACKTEST_BLOCK_ROWS
+    replay = TradingEnv(series, features, EnvConfig(window_size=3, include_position_flag=flag))
+    obs = replay.reset()
+    for record in ledger.records:
+        expected = int(np.argmax(mlp_forward(policy, obs.flatten())))
+        assert int(record.action) == expected
+        obs = replay.step(expected).observation
+    actions = {int(r.action) for r in ledger.records}
+    if net == "zero":
+        assert actions == {0}  # ties go to Sell
+    else:
+        assert actions == {0, 1}

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from conftest import make_series, random_walk_series
-from quantrl import IndicatorSpec, compute_feature_matrix, default_specs
+from quantrl import IndicatorSpec, OhlcvSeries, compute_feature_matrix, default_specs
 from quantrl.errors import PeriodTooLong
 from quantrl.indicators import (
     adx, atr, bop, cci, cmo, dema, ema, macd, mfi, mom, obv, roc, rsi, sar,
@@ -398,3 +398,16 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         IndicatorSpec("NOPE")
     assert IndicatorSpec("RSI").period == 14
+
+
+@pytest.mark.parametrize("t", [120, 150, 299, 399])
+def test_default_indicators_are_causal(walk, t):
+    """Every default column computed on bars[:t] equals the first t rows of the
+    full computation bit for bit, NaN in the same warm-up cells: no indicator
+    value depends on a later bar."""
+    full = compute_feature_matrix(walk, default_specs())
+    prefix = compute_feature_matrix(OhlcvSeries(walk.symbol, walk.bars[:t]), default_specs())
+    assert prefix.names == full.names and len(full.names) == 20
+    for head, whole in zip(prefix.columns, full.columns):
+        assert head.warmup == whole.warmup, head.name
+        assert head.values.tobytes() == whole.values[:t].tobytes(), head.name

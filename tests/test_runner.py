@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import quantrl.runner.manifest as manifest_module
 from conftest import random_walk_series
 from quantrl import NormalizationKind, RewardKind, save_csv
 from quantrl.errors import SchemaError
@@ -283,6 +284,20 @@ def test_manifest_environment_outside_config_hash(tmp_path, data_csv, monkeypatc
     assert b["environment"]["variables"]["OPENBLAS_NUM_THREADS"] == "2"
     assert b["environment"]["variables"]["OPENBLAS_CORETYPE"] == "Prescott"
     assert (tmp_path / "a" / "policy.bin").read_bytes() == (tmp_path / "b" / "policy.bin").read_bytes()
+
+
+def test_manifest_records_blas_corename_outside_config_hash(tmp_path, data_csv, monkeypatch):
+    cfg = write_config(tmp_path, data_csv)
+    manifests = []
+    for name, corename in (("a", None), ("b", "Prescott")):
+        if corename is not None:
+            monkeypatch.setattr(manifest_module, "blas_corename", lambda: corename)
+        assert cli(["train", "--config", str(cfg), "--out", str(tmp_path / name)]) == EXIT_OK
+        manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+    a, b = manifests
+    assert isinstance(a["environment"]["blas"]["corename"], str)
+    assert b["environment"]["blas"]["corename"] == "Prescott"
+    assert a["config_hash"] == b["config_hash"]
 
 
 @pytest.mark.parametrize("algorithm", ["A2C", "PPO"])

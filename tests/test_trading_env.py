@@ -385,6 +385,22 @@ def test_observation_table_rows_equal_observations(kind, frozen, flag):
     assert np.array_equal(obs.flatten(), reference(env.cursor, env.position))
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("kind", [NormalizationKind.MIN_MAX, NormalizationKind.WINDOW_LOG])
+def test_observation_rows_equal_table_slices(kind, flag):
+    series = random_walk_series(40, seed=13)
+    features = compute_feature_matrix(series, [IndicatorSpec("SMA", 2), IndicatorSpec("WMA", 3)])
+    env = TradingEnv(series, features, EnvConfig(window_size=3, normalization=kind, include_position_flag=flag))
+    table = env.observation_table()
+    n = len(table)
+    assert n == (2 if flag else 1) * (len(series) - env.start_cursor)
+    for lo in range(n):
+        for hi in range(lo + 1, n + 3):  # past the end, rows are clipped like a slice
+            rows = env.observation_rows(lo, hi)
+            assert rows.shape == table[lo:hi].shape
+            assert rows.tobytes() == table[lo:hi].tobytes()
+
+
 def test_position_flag_toggle():
     env = build_env(closes=np.linspace(100, 110, 20), window_size=2, include_position_flag=True)
     obs = env.reset(0)
