@@ -11,7 +11,7 @@ from ..errors import TrainingDiverged
 from ..trading_env import ObservationWindow
 from .common import Hyperparams, RowBlocks, TrainingLog, TrainingRecord
 from .losses import policy_gradient_loss, value_loss
-from .mlp import MlpPolicy, init_mlp, mlp_forward, softmax, softmax_pair
+from .mlp import MlpPolicy, Workspace, init_mlp, mlp_forward, softmax, softmax_pair
 from .optim import make_optimizer
 
 
@@ -21,6 +21,18 @@ class ActorCritic:
 
     actor: MlpPolicy
     critic: MlpPolicy
+
+
+class Learner:
+    """One network's optimizer and the workspace its loss runs in."""
+
+    def __init__(self, net: MlpPolicy, hp: Hyperparams, rows: int):
+        self.net = net
+        self.optimizer = make_optimizer(hp.optimizer, hp.learning_rate)
+        self.workspace = Workspace(net, rows)
+
+    def step(self, grads: np.ndarray) -> None:
+        self.optimizer.update(self.net.flat, grads)
 
 
 def n_step_returns(rewards: np.ndarray, dones: np.ndarray, bootstrap: float, gamma: float) -> np.ndarray:
@@ -89,12 +101,15 @@ class _Rollout:
         return self._rows[0]
 
 
-def train_on_policy(env_factory, hp: Hyperparams, seed: int, update) -> tuple[ActorCritic, TrainingLog]:
+def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
+                    batch_rows: int | None = None) -> tuple[ActorCritic, TrainingLog]:
     """Shared A2C/PPO loop: build the nets, sample actions into n_steps
     rollouts and log episodes. Each full rollout goes to
-    ``update(nets, actor_opt, critic_opt, rollout, obs, rng)``, which returns
-    the loss to log; ``obs`` is the observation after the rollout. Non-finite
-    action probabilities or a non-finite loss raise TrainingDiverged.
+    ``update(nets, actor, critic, rollout, obs, rng)``, which returns the loss
+    to log; ``actor`` and ``critic`` are the nets' Learners, whose workspaces
+    take batches of up to ``batch_rows`` rows (default n_steps), and ``obs`` is
+    the observation after the rollout. Non-finite action probabilities or a
+    non-finite loss raise TrainingDiverged.
 
     The actor is frozen between updates, so ``sample_action``'s thresholds are
     evaluated over the observation rows of the next n_steps + 1 cursors at once
@@ -104,8 +119,8 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update) -> tuple[Ac
     actor = init_mlp([env.observation_size, *hp.hidden_sizes, 2], rng)
     critic = init_mlp([env.observation_size, *hp.hidden_sizes, 1], rng)
     nets = ActorCritic(actor, critic)
-    actor_opt = make_optimizer(hp.optimizer, hp.learning_rate)
-    critic_opt = make_optimizer(hp.optimizer, hp.learning_rate)
+    rows = hp.n_steps if batch_rows is None else batch_rows
+    actor_learner, critic_learner = Learner(actor, hp, rows), Learner(critic, hp, rows)
     log = TrainingLog()
     rollout = _Rollout(hp.n_steps, env.observation_size)
     rows_per_cursor = 2 if env.config.include_position_flag else 1
@@ -130,7 +145,7 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update) -> tuple[Ac
             window = env.reset(seed)
         obs = rollout.observe(window)
         if rollout.full:
-            last_loss = update(nets, actor_opt, critic_opt, rollout, obs, rng)
+            last_loss = update(nets, actor_learner, critic_learner, rollout, obs, rng)
             if not math.isfinite(last_loss):
                 raise TrainingDiverged(steps, last_loss)
             thresholds.invalidate()
@@ -142,17 +157,18 @@ def a2c_train(env_factory, hyperparams: Hyperparams, seed: int) -> tuple[ActorCr
     """Collect n_steps transitions, then one synchronous update of both nets."""
     hp = hyperparams
 
-    def update(nets, actor_opt, critic_opt, rollout, obs, rng) -> float:
+    def update(nets, actor, critic, rollout, obs, rng) -> float:
         bootstrap = float(mlp_forward(nets.critic, obs)[0])
         returns = n_step_returns(rollout.rewards, rollout.dones, bootstrap, hp.gamma)
         values = mlp_forward(nets.critic, rollout.states)[:, 0]
         advantages = returns - values
         actor_loss, actor_grads = policy_gradient_loss(
-            nets.actor, rollout.states, rollout.actions, advantages, hp.entropy_coef
+            nets.actor, rollout.states, rollout.actions, advantages, hp.entropy_coef, actor.workspace
         )
-        critic_loss, critic_grads = value_loss(nets.critic, rollout.states, returns)
-        actor_opt.update(nets.actor.flat, actor_grads)
-        critic_opt.update(nets.critic.flat, critic_grads * hp.value_coef)
+        critic_loss, critic_grads = value_loss(nets.critic, rollout.states, returns, critic.workspace)
+        actor.step(actor_grads)
+        critic_grads *= hp.value_coef
+        critic.step(critic_grads)
         return actor_loss + hp.value_coef * critic_loss
 
     return train_on_policy(env_factory, hp, seed, update)

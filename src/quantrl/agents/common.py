@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_open
+
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -61,6 +63,8 @@ class Hyperparams:
             raise ValueError("gae_lambda must be in [0, 1]")
         if self.n_epochs < 1:
             raise ValueError("n_epochs must be >= 1")
+        if not self.hidden_sizes or not all(isinstance(h, int) and h >= 1 for h in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be a non-empty list of positive integers, got {self.hidden_sizes!r}")
 
 
 def linear_epsilon(step: int, total_timesteps: int, initial: float = 1.0,
@@ -154,7 +158,7 @@ class TrainingLog:
         return len(self.records)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as handle:
+        with atomic_open(path, newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["timestep", "episode_return", "loss", "epsilon", "eval_return"])
             for r in self.records:

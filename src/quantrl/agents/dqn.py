@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import TrainingDiverged
 from .common import Hyperparams, TrainingLog, TrainingRecord, Transition, exploratory_action, linear_epsilon
-from .mlp import MlpPolicy, forward_cached, init_mlp, mlp_backward, mlp_forward
+from .mlp import MlpPolicy, Workspace, forward_cached, init_mlp, mlp_backward, mlp_forward
 from .optim import make_optimizer
 from .replay import Batch, ReplayBuffer
 
@@ -28,16 +28,18 @@ def td_targets(rewards: np.ndarray, dones: np.ndarray, next_q_max: np.ndarray, g
     return rewards + gamma * np.where(dones, 0.0, next_q_max)
 
 
-def q_loss_and_grads(online: MlpPolicy, states: np.ndarray, actions: np.ndarray, targets: np.ndarray):
+def q_loss_and_grads(online: MlpPolicy, states: np.ndarray, actions: np.ndarray, targets: np.ndarray,
+                     workspace: Workspace | None = None):
     """Mean squared error of Q_online(s, a) against fixed targets y, and its
-    gradients w.r.t. the online network."""
-    q_all, cache = forward_cached(online, states)
+    gradients w.r.t. the online network. Given a ``workspace``, the gradients
+    are its gradient buffer, valid until its next call."""
+    q_all, cache = forward_cached(online, states, workspace)
     rows = np.arange(len(actions))
     delta = q_all[rows, actions] - targets
-    loss = float(np.mean(delta * delta))
+    loss = float(np.add.reduce(delta * delta) / len(delta))
     grad_out = np.zeros_like(q_all)
     grad_out[rows, actions] = 2.0 * delta / len(actions)
-    return loss, mlp_backward(online, cache, grad_out)
+    return loss, mlp_backward(online, cache, grad_out, workspace)
 
 
 def td_loss_and_grads(online: MlpPolicy, target: MlpPolicy, batch: Batch, gamma: float):
@@ -65,6 +67,7 @@ class DqnTrainer:
         self.next_q_max = self._target_q_max()
         self.buffer = ReplayBuffer(hyperparams.buffer_size)
         self.optimizer = make_optimizer(hyperparams.optimizer, hyperparams.learning_rate)
+        self.workspace = Workspace(self.policy, hyperparams.batch_size)
         self.log = TrainingLog()
         self.step_count = 0
         self.last_loss = float("nan")
@@ -91,7 +94,7 @@ class DqnTrainer:
         eps = self.epsilon
         action = exploratory_action(eps, self.policy.output_size, self.rng)
         if action is None:
-            action = int(np.argmax(mlp_forward(self.policy, self.observations[self._obs_index])))
+            action = int(mlp_forward(self.policy, self.observations[self._obs_index]).argmax())
         result = self.env.step(action)
         next_index = self.env.observation_index
         self.buffer.push(Transition(self._obs_index, action, result.reward, next_index, result.done))
@@ -101,7 +104,9 @@ class DqnTrainer:
         if len(self.buffer) >= self.hp.batch_size:
             batch = self.buffer.sample(self.hp.batch_size, self.rng)
             y = td_targets(batch.rewards, batch.dones, self.next_q_max[batch.next_states], self.hp.gamma)
-            loss, grads = q_loss_and_grads(self.policy, self.observations[batch.states], batch.actions, y)
+            loss, grads = q_loss_and_grads(
+                self.policy, self.observations[batch.states], batch.actions, y, self.workspace
+            )
             if not math.isfinite(loss):
                 raise TrainingDiverged(self.step_count, loss)
             self.optimizer.update(self.policy.flat, grads)

@@ -2,20 +2,22 @@
 
 Each function returns (scalar loss, parameter gradients) and is a pure
 function of the network parameters and its fixed inputs, so the analytic
-gradients can be validated against central finite differences.
+gradients can be validated against central finite differences. Given a
+``workspace``, the forward and backward passes run in its buffers and the
+returned gradients are its gradient buffer, valid until its next call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mlp import MlpPolicy, forward_cached, log_softmax, mlp_backward
+from .mlp import MlpPolicy, Workspace, forward_cached, log_softmax, mlp_backward
 
 
 def policy_gradient_loss(actor: MlpPolicy, states: np.ndarray, actions: np.ndarray,
-                         advantages: np.ndarray, entropy_coef: float):
+                         advantages: np.ndarray, entropy_coef: float, workspace: Workspace | None = None):
     """-mean(log pi(a|s) * A) - entropy_coef * mean(H); advantages fixed."""
-    logits, cache = forward_cached(actor, states)
+    logits, cache = forward_cached(actor, states, workspace)
     logp = log_softmax(logits)
     probs = np.exp(logp)
     batch = len(actions)
@@ -27,28 +29,28 @@ def policy_gradient_loss(actor: MlpPolicy, states: np.ndarray, actions: np.ndarr
     one_hot[rows, actions] = 1.0
     grad_logits = -(advantages[:, None] * (one_hot - probs)) / batch
     grad_logits += entropy_coef * probs * (logp + entropy[:, None]) / batch
-    return loss, mlp_backward(actor, cache, grad_logits)
+    return loss, mlp_backward(actor, cache, grad_logits, workspace)
 
 
-def value_loss(critic: MlpPolicy, states: np.ndarray, returns: np.ndarray):
+def value_loss(critic: MlpPolicy, states: np.ndarray, returns: np.ndarray, workspace: Workspace | None = None):
     """Mean squared error between the value head and the target returns."""
-    values, cache = forward_cached(critic, states)
+    values, cache = forward_cached(critic, states, workspace)
     delta = values[:, 0] - returns
-    loss = float(np.mean(delta * delta))
+    loss = float(np.add.reduce(delta * delta) / len(delta))
     grad_out = np.zeros_like(values)
     grad_out[:, 0] = 2.0 * delta / len(returns)
-    return loss, mlp_backward(critic, cache, grad_out)
+    return loss, mlp_backward(critic, cache, grad_out, workspace)
 
 
 def ppo_policy_loss(actor: MlpPolicy, states: np.ndarray, actions: np.ndarray,
                     logp_old: np.ndarray, advantages: np.ndarray,
-                    clip_range: float, entropy_coef: float):
+                    clip_range: float, entropy_coef: float, workspace: Workspace | None = None):
     """Clipped-surrogate loss: -mean(min(rho*A, clip(rho)*A)) - entropy bonus.
 
     rho = pi_new(a|s) / pi_old(a|s); gradients flow through rho only where
     the unclipped branch is active (surr1 <= surr2).
     """
-    logits, cache = forward_cached(actor, states)
+    logits, cache = forward_cached(actor, states, workspace)
     logp = log_softmax(logits)
     probs = np.exp(logp)
     batch = len(actions)
@@ -64,4 +66,4 @@ def ppo_policy_loss(actor: MlpPolicy, states: np.ndarray, actions: np.ndarray,
     grad_ratio = np.where(active, advantages, 0.0) * ratio
     grad_logits = -(grad_ratio[:, None] * (one_hot - probs)) / batch
     grad_logits += entropy_coef * probs * (logp + entropy[:, None]) / batch
-    return loss, mlp_backward(actor, cache, grad_logits)
+    return loss, mlp_backward(actor, cache, grad_logits, workspace)

@@ -84,11 +84,12 @@ def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> MlpPolicy:
 
 
 def _as_batch(policy: MlpPolicy, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
+    if type(x) is not np.ndarray or x.dtype != np.float64:
+        x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != policy.input_size:
+    if x.ndim != 2 or x.shape[1] != policy.weights[0].shape[0]:
         raise ShapeMismatch(f"input shape {x.shape} for input size {policy.input_size}")
     return x, single
 
@@ -97,46 +98,90 @@ def mlp_forward(policy: MlpPolicy, x: np.ndarray) -> np.ndarray:
     """Action values (or logits) for a single observation or a batch."""
     x, single = _as_batch(policy, x)
     h = x
-    last = len(policy.weights) - 1
-    for i, (w, b) in enumerate(zip(policy.weights, policy.biases)):
-        h = h @ w + b
-        if i != last:
-            h = np.tanh(h)
+    for w, b in zip(policy.weights[:-1], policy.biases):
+        h = np.tanh(h @ w + b)
+    h = h @ policy.weights[-1] + policy.biases[-1]
     return h[0] if single else h
 
 
-def forward_cached(policy: MlpPolicy, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Batch forward keeping each layer's input for the backward pass."""
+class Workspace:
+    """Scratch buffers that ``forward_cached`` and ``mlp_backward`` reuse on
+    every call for one network shape and batches of up to ``rows`` rows: each
+    layer's output, each hidden layer's backward delta and ``1 - a*a`` factor,
+    and one flat gradient (laid out like ``policy.flat``) with per-layer views
+    built once. A batch of n rows uses the leading n rows of each buffer, which
+    are C-contiguous like freshly allocated arrays, so every matmul sees the
+    shapes and layouts it would see without a workspace.
+
+    Aliasing: the output and cache that ``forward_cached`` returns and the
+    gradient that ``mlp_backward`` returns are this workspace's buffers. They
+    stay valid only until the next call that uses this workspace.
+    """
+
+    def __init__(self, policy: MlpPolicy, rows: int):
+        if rows < 1:
+            raise ShapeMismatch(f"workspace needs at least one row, got {rows}")
+        sizes = policy.layer_sizes
+        self.rows = rows
+        self.outputs = [np.empty((rows, n)) for n in sizes[1:]]
+        self.deltas = [np.empty((rows, n)) for n in sizes[1:-1]]
+        self.factors = [np.empty((rows, n)) for n in sizes[1:-1]]
+        self.grad = np.empty(param_count(sizes))
+        self.grad_w, self.grad_b = _layer_views(sizes, self.grad)
+
+    def leading(self, buffers: list[np.ndarray], n: int) -> list[np.ndarray]:
+        """The first n rows of each of these buffers."""
+        if not 1 <= n <= self.rows:
+            raise ShapeMismatch(f"batch of {n} rows for a workspace of {self.rows}")
+        return [buf[:n] for buf in buffers]
+
+
+def forward_cached(policy: MlpPolicy, x: np.ndarray,
+                   workspace: Workspace | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Batch forward keeping each layer's input for the backward pass.
+
+    The output and the cached activations live in ``workspace`` (a fresh one
+    when none is given); the cache also holds ``x`` itself."""
     x, single = _as_batch(policy, x)
     if single:
         raise ShapeMismatch("forward_cached expects a batch")
-    cache = []
-    h = x
-    last = len(policy.weights) - 1
-    for i, (w, b) in enumerate(zip(policy.weights, policy.biases)):
-        cache.append(h)
-        h = h @ w + b
+    if workspace is None:
+        workspace = Workspace(policy, len(x))
+    outputs = workspace.leading(workspace.outputs, len(x))
+    cache = [x, *outputs[:-1]]
+    last = len(outputs) - 1
+    for i, (w, b, h) in enumerate(zip(policy.weights, policy.biases, outputs)):
+        np.matmul(cache[i], w, out=h)
+        h += b
         if i != last:
-            h = np.tanh(h)
-    return h, cache
+            np.tanh(h, out=h)
+    return outputs[-1], cache
 
 
-def mlp_backward(policy: MlpPolicy, cache: list[np.ndarray], grad_out: np.ndarray) -> np.ndarray:
-    """Gradient of a scalar loss given dL/d(output), laid out like policy.flat."""
-    grad = np.empty_like(policy.flat)
-    grad_w, grad_b = _layer_views(policy.layer_sizes, grad)
+def mlp_backward(policy: MlpPolicy, cache: list[np.ndarray], grad_out: np.ndarray,
+                 workspace: Workspace | None = None) -> np.ndarray:
+    """Gradient of a scalar loss given dL/d(output), laid out like policy.flat.
+
+    The gradient is ``workspace.grad`` (of a fresh workspace when none is
+    given): valid until the workspace's next call."""
     delta = np.asarray(grad_out, dtype=float)
-    for i in range(len(policy.weights) - 1, -1, -1):
-        inputs = cache[i]
-        if i != len(policy.weights) - 1:
-            # recompute the tanh output of layer i that fed layer i+1
-            activated = cache[i + 1]
-            delta = delta * (1.0 - activated * activated)
-        np.matmul(inputs.T, delta, out=grad_w[i])
+    if workspace is None:
+        workspace = Workspace(policy, len(delta))
+    deltas = workspace.leading(workspace.deltas, len(delta))
+    factors = workspace.leading(workspace.factors, len(delta))
+    grad_w, grad_b = workspace.grad_w, workspace.grad_b
+    for i in range(len(grad_w) - 1, -1, -1):
+        if i != len(grad_w) - 1:
+            # the tanh derivative at the output of layer i, which fed layer i+1
+            activated, factor = cache[i + 1], factors[i]
+            np.multiply(activated, activated, out=factor)
+            np.subtract(1.0, factor, out=factor)
+            delta *= factor
+        np.matmul(cache[i].T, delta, out=grad_w[i])
         delta.sum(axis=0, out=grad_b[i])
         if i > 0:
-            delta = delta @ policy.weights[i].T
-    return grad
+            delta = np.matmul(delta, policy.weights[i].T, out=deltas[i - 1])
+    return workspace.grad
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

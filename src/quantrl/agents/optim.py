@@ -1,4 +1,10 @@
-"""Parameter-update rules on a flat parameter vector: plain SGD (default) and Adam."""
+"""Parameter-update rules on a flat parameter vector: plain SGD (default) and Adam.
+
+Both update ``params`` in place through scratch vectors allocated at the
+first update, with the float operations of the textbook expressions in
+their order, so a step allocates nothing and yields the same bits as the
+allocating expressions.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +14,14 @@ import numpy as np
 class Sgd:
     def __init__(self, lr: float):
         self.lr = lr
+        self._step = None
 
     def update(self, params: np.ndarray, grads: np.ndarray) -> None:
-        params -= self.lr * grads
+        """params -= lr * grads"""
+        if self._step is None:
+            self._step = np.empty_like(params)
+        np.multiply(grads, self.lr, out=self._step)
+        params -= self._step
 
 
 class Adam:
@@ -20,16 +31,31 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = 0.0
-        self._v = 0.0
+        self._m = self._v = self._num = self._den = None
 
     def update(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        params -= lr*(m/bias1) / (sqrt(v/bias2) + eps)"""
+        if self._m is None:
+            self._m, self._v, self._num, self._den = (np.zeros_like(params) for _ in range(4))
         self.t += 1
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t
-        self._m = self.beta1 * self._m + (1.0 - self.beta1) * grads
-        self._v = self.beta2 * self._v + (1.0 - self.beta2) * grads * grads
-        params -= self.lr * (self._m / bias1) / (np.sqrt(self._v / bias2) + self.eps)
+        m, v, num, den = self._m, self._v, self._num, self._den
+        m *= self.beta1
+        np.multiply(grads, 1.0 - self.beta1, out=num)
+        m += num
+        v *= self.beta2
+        np.multiply(grads, 1.0 - self.beta2, out=num)
+        num *= grads
+        v += num
+        np.divide(m, bias1, out=num)
+        num *= self.lr
+        np.divide(v, bias2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        params -= num
 
 
 def make_optimizer(name: str, lr: float):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_open
 from ..errors import CorruptFile, ShapeMismatch
 from .mlp import MlpPolicy, param_count
 
@@ -25,7 +26,8 @@ def save_policy(policy: MlpPolicy, path: str | Path) -> None:
     parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(policy.weights))]
     parts.append(struct.pack(f"<{len(sizes)}I", *sizes))
     parts.append(policy.flat.astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    with atomic_open(path, "wb") as handle:
+        handle.write(b"".join(parts))
 
 
 def load_policy(path: str | Path) -> MlpPolicy:

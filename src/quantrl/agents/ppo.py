@@ -30,7 +30,7 @@ def ppo_train(env_factory, hyperparams: Hyperparams, seed: int) -> tuple[ActorCr
     hp = hyperparams
     minibatch = min(hp.batch_size, hp.n_steps)
 
-    def update(nets, actor_opt, critic_opt, rollout, obs, rng) -> float:
+    def update(nets, actor, critic, rollout, obs, rng) -> float:
         values = mlp_forward(nets.critic, rollout.states)[:, 0]
         last_value = float(mlp_forward(nets.critic, obs)[0])
         advantages, returns = gae_advantages(
@@ -46,11 +46,12 @@ def ppo_train(env_factory, hyperparams: Hyperparams, seed: int) -> tuple[ActorCr
                 states = rollout.states[idx]
                 actor_loss, actor_grads = ppo_policy_loss(
                     nets.actor, states, rollout.actions[idx],
-                    logp_old[idx], advantages[idx], hp.clip_range, hp.entropy_coef,
+                    logp_old[idx], advantages[idx], hp.clip_range, hp.entropy_coef, actor.workspace,
                 )
-                critic_loss, critic_grads = value_loss(nets.critic, states, returns[idx])
-                actor_opt.update(nets.actor.flat, actor_grads)
-                critic_opt.update(nets.critic.flat, critic_grads * hp.value_coef)
+                critic_loss, critic_grads = value_loss(nets.critic, states, returns[idx], critic.workspace)
+                actor.step(actor_grads)
+                critic_grads *= hp.value_coef
+                critic.step(critic_grads)
         return actor_loss + hp.value_coef * critic_loss
 
-    return train_on_policy(env_factory, hp, seed, update)
+    return train_on_policy(env_factory, hp, seed, update, minibatch)

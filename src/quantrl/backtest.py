@@ -18,6 +18,7 @@ import numpy as np
 
 from .agents.common import RowBlocks
 from .agents.mlp import MlpPolicy, mlp_forward
+from .atomic import atomic_open
 from .errors import ShapeMismatch, TooFewSamples
 from .trading_env import EpisodeLedger, Position, TradingEnv
 
@@ -253,17 +254,19 @@ def render_report(report: PerformanceReport, ledger: EpisodeLedger, curve: Equit
         "ledger": out / "ledger.csv",
         "svg": out / "equity.svg",
     }
-    paths["report"].write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    with open(paths["equity"], "w") as handle:
+    with atomic_open(paths["report"]) as handle:
+        handle.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    with atomic_open(paths["equity"]) as handle:
         handle.write("step,equity\n")
         for i, v in enumerate(curve.values):
             handle.write(f"{i},{float(v)!r}\n")
-    with open(paths["trades"], "w") as handle:
+    with atomic_open(paths["trades"]) as handle:
         handle.write(TRADES_HEADER + "\n")
         for t in trades:
             handle.write(
                 f"{t.direction.name},{t.entry_idx},{t.entry_px!r},{t.exit_idx},{t.exit_px!r},{t.ret!r},{int(t.win)}\n"
             )
     ledger.to_csv(paths["ledger"])
-    paths["svg"].write_text(_equity_svg(curve, trades, start_cursor))
+    with atomic_open(paths["svg"]) as handle:
+        handle.write(_equity_svg(curve, trades, start_cursor))
     return paths

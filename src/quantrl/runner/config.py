@@ -209,10 +209,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     for key in float_fields:
         hp_fields[key] = float(_require(agent_sec, key, (int, float), f"agent.{key}"))
     hp_fields["optimizer"] = _require(agent_sec, "optimizer", str, "agent.optimizer")
-    hidden = _require(agent_sec, "hidden_sizes", list, "agent.hidden_sizes")
-    if not hidden or not all(isinstance(h, int) and h >= 1 for h in hidden):
-        raise SchemaError("agent.hidden_sizes", "expected a non-empty list of positive integers")
-    hp_fields["hidden_sizes"] = tuple(hidden)
+    hp_fields["hidden_sizes"] = tuple(_require(agent_sec, "hidden_sizes", list, "agent.hidden_sizes"))
     try:
         hyperparams = Hyperparams(**hp_fields)
     except ValueError as exc:

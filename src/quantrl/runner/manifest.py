@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_open
+
 BLAS_FIELDS = ("name", "version", "openblas configuration")
 
 
@@ -81,7 +83,8 @@ class RunManifest:
             "version": self.version,
             "environment": self.environment,
         }
-        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        with atomic_open(path) as handle:
+            handle.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def read(cls, path: str | Path) -> "RunManifest":

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import (
     NonPositiveEquity,
     NonPositivePrice,
@@ -125,7 +126,7 @@ class EpisodeLedger:
         return np.array([r.equity for r in self.records], dtype=float)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as handle:
+        with atomic_open(path, newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["step", "action", "position", "price", "reward", "equity"])
             for r in self.records:

@@ -7,6 +7,8 @@ and no incremental shortcuts beyond the definitions themselves.
 
 import math
 
+import numpy as np
+
 
 def o_sma(close, n):
     out = [None] * len(close)
@@ -337,3 +339,34 @@ def o_metrics(curve, rf=0.0, periods_per_year=252):
         "calmar": ann / mdd if mdd > 0 else 0.0,
         "max_drawdown_pct": mdd * 100.0,
     }
+
+
+# --- network passes and optimizers, allocating every array ------------------------
+# The MLP forward/backward bodies as they were before workspaces existed: every
+# intermediate is a fresh array. The workspace passes must equal them bit for bit.
+
+
+def o_forward_cached(policy, x):
+    cache = []
+    h = np.asarray(x, dtype=float)
+    last = len(policy.weights) - 1
+    for i, (w, b) in enumerate(zip(policy.weights, policy.biases)):
+        cache.append(h)
+        h = h @ w + b
+        if i != last:
+            h = np.tanh(h)
+    return h, cache
+
+
+def o_mlp_backward(policy, cache, grad_out):
+    grad_w, grad_b = [], []
+    delta = np.asarray(grad_out, dtype=float)
+    for i in range(len(policy.weights) - 1, -1, -1):
+        if i != len(policy.weights) - 1:
+            activated = cache[i + 1]
+            delta = delta * (1.0 - activated * activated)
+        grad_w.insert(0, np.matmul(cache[i].T, delta))
+        grad_b.insert(0, delta.sum(axis=0))
+        if i > 0:
+            delta = delta @ policy.weights[i].T
+    return np.concatenate([p.ravel() for pair in zip(grad_w, grad_b) for p in pair])

@@ -374,6 +374,12 @@ def test_hyperparams_validation():
         Hyperparams(exploration_final=-0.1)
 
 
+@pytest.mark.parametrize("hidden", [(0,), (64, -1), (2.5,), ()], ids=["zero", "negative", "float", "empty"])
+def test_hyperparams_rejects_bad_hidden_sizes(hidden):
+    with pytest.raises(ValueError, match="hidden_sizes"):
+        Hyperparams(hidden_sizes=hidden)
+
+
 # --- on-policy acting path --------------------------------------------------------
 
 
@@ -438,7 +444,7 @@ def test_rollout_states_equal_observations(normalization, flag):
     env = RecordingEnv(tiny_env(normalization=normalization, include_position_flag=flag))
     seen = []
 
-    def update(nets, actor_opt, critic_opt, rollout, obs, rng) -> float:
+    def update(nets, actor, critic, rollout, obs, rng) -> float:
         seen.append((rollout.states.copy(), obs.copy(), env.current))
         return 0.0
 
@@ -467,7 +473,7 @@ def test_block_thresholds_match_per_row_rule(monkeypatch, flag):
     env = RecordingEnv(tiny_env(include_position_flag=flag))
     actors, actions = [], []
 
-    def update(nets, actor_opt, critic_opt, rollout, obs, rng) -> float:
+    def update(nets, actor, critic, rollout, obs, rng) -> float:
         actions.extend(rollout.actions.tolist())
         nets.actor.flat += 0.3 * np.sin(np.arange(nets.actor.flat.size) + len(actors))
         actors.append(nets.actor.copy())

@@ -6,6 +6,8 @@ import pytest
 import quantrl.runner.manifest as manifest_module
 from conftest import random_walk_series
 from quantrl import NormalizationKind, RewardKind, save_csv
+from quantrl.agents import TrainingLog, TrainingRecord
+from quantrl.atomic import atomic_open
 from quantrl.errors import SchemaError
 from quantrl.runner import config_hash, load_config, resolve_config
 from quantrl.runner.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, cli
@@ -134,6 +136,18 @@ def test_cli_exploration_out_of_range_is_config_error(tmp_path, data_csv, capsys
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "config"
     assert payload["message"].startswith(f"agent.{key}:")
+
+
+@pytest.mark.parametrize("hidden", [[0], [64, -1], [2.5], []], ids=["zero", "negative", "float", "empty"])
+def test_cli_bad_hidden_sizes_is_config_error(tmp_path, data_csv, capsys, hidden):
+    cfg = write_config(tmp_path, data_csv, agent={"hidden_sizes": hidden})
+    with pytest.raises(SchemaError) as err:
+        load_config(cfg)
+    assert err.value.key == "agent.hidden_sizes"
+    assert cli(["train", "--config", str(cfg)]) == EXIT_CONFIG
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config"
+    assert payload["message"].startswith("agent.hidden_sizes:")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -331,3 +345,36 @@ def test_cli_report_and_compare(tmp_path, data_csv, capsys):
     lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
     assert lines[0].startswith("metric,")
     assert len(lines) == 10
+
+
+# --- atomic artifact writes -------------------------------------------------------
+
+
+class _FailingRepr(float):
+    def __repr__(self):
+        raise OSError("device full")
+
+
+def test_atomic_open_keeps_previous_file_when_writer_fails(tmp_path):
+    path = tmp_path / "artifact.txt"
+    with atomic_open(path) as handle:
+        handle.write("old\n")
+    with pytest.raises(OSError, match="device full"):
+        with atomic_open(path) as handle:
+            handle.write("new, first half\n")
+            raise OSError("device full")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
+
+
+def test_training_log_failing_mid_file_leaves_previous_log(tmp_path):
+    path = tmp_path / "training_log.csv"
+    log = TrainingLog()
+    log.append(TrainingRecord(5, 1.0, 0.5))
+    log.to_csv(path)
+    before = path.read_bytes()
+    log.append(TrainingRecord(9, 2.0, _FailingRepr(0.25)))
+    with pytest.raises(OSError, match="device full"):
+        log.to_csv(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["training_log.csv"]
