@@ -217,22 +217,17 @@ def _equity_svg(curve: EquityCurve, trades: list[Trade], start_cursor: int,
     lo, hi = float(values.min()), float(values.max())
     span = (hi - lo) or 1.0
     n = len(values)
-
-    def x(i: float) -> float:
-        return pad + (width - 2 * pad) * (i / max(n - 1, 1))
-
-    def y(v: float) -> float:
-        return height - pad - (height - 2 * pad) * ((v - lo) / span)
-
-    points = " ".join(f"{x(i):.2f},{y(v):.2f}" for i, v in enumerate(values))
+    # Evaluated in the order the formulas read; elementwise float64 operations round
+    # as Python floats do, so every point keeps its bytes.
+    xs = (pad + (width - 2 * pad) * (np.arange(n) / max(n - 1, 1))).tolist()
+    ys = ((height - pad) - (height - 2 * pad) * ((values - lo) / span)).tolist()
+    points = " ".join(map("{:.2f},{:.2f}".format, xs, ys))
     markers = []
     for trade in trades:
         i = trade.entry_idx - start_cursor
         i = min(max(i, 0), n - 1)
         color = "#2a7" if trade.direction is Position.LONG else "#c33"
-        markers.append(
-            f'<circle cx="{x(i):.2f}" cy="{y(float(values[i])):.2f}" r="3" fill="{color}"/>'
-        )
+        markers.append(f'<circle cx="{xs[i]:.2f}" cy="{ys[i]:.2f}" r="3" fill="{color}"/>')
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
         f'<rect width="{width}" height="{height}" fill="white"/>'
@@ -257,9 +252,7 @@ def render_report(report: PerformanceReport, ledger: EpisodeLedger, curve: Equit
     with atomic_open(paths["report"]) as handle:
         handle.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     with atomic_open(paths["equity"]) as handle:
-        handle.write("step,equity\n")
-        for i, v in enumerate(curve.values):
-            handle.write(f"{i},{float(v)!r}\n")
+        handle.write("".join(["step,equity\n", *map("{},{!r}\n".format, range(len(curve)), curve.values.tolist())]))
     with atomic_open(paths["trades"]) as handle:
         handle.write(TRADES_HEADER + "\n")
         for t in trades:

@@ -36,13 +36,14 @@ def _rsi_array(close: np.ndarray, n: int) -> np.ndarray:
     diffs = np.diff(close)
     gains = np.maximum(diffs, 0.0)
     losses = np.maximum(-diffs, 0.0)
-    avg_gain = gains[:n].mean()
-    avg_loss = losses[:n].mean()
-    out[n] = _rsi_value(avg_gain, avg_loss)
-    for t in range(n + 1, len(close)):
-        avg_gain = (avg_gain * (n - 1) + gains[t - 1]) / n
-        avg_loss = (avg_loss * (n - 1) + losses[t - 1]) / n
-        out[t] = _rsi_value(avg_gain, avg_loss)
+    avg_gain = float(gains[:n].mean())
+    avg_loss = float(losses[:n].mean())
+    values = [_rsi_value(avg_gain, avg_loss)]
+    for gain, loss in zip(gains[n:].tolist(), losses[n:].tolist()):
+        avg_gain = (avg_gain * (n - 1) + gain) / n
+        avg_loss = (avg_loss * (n - 1) + loss) / n
+        values.append(_rsi_value(avg_gain, avg_loss))
+    out[n:] = values
     return out
 
 

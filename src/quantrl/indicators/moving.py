@@ -47,11 +47,12 @@ def _ema_array(x: np.ndarray, n: int) -> np.ndarray:
     if n > len(x):
         return out
     k = 2.0 / (n + 1.0)
-    value = x[:n].mean()
-    out[n - 1] = value
-    for t in range(n, len(x)):
-        value = k * x[t] + (1.0 - k) * value
-        out[t] = value
+    value = float(x[:n].mean())
+    values = [value]
+    for xt in x[n:].tolist():
+        value = k * xt + (1.0 - k) * value
+        values.append(value)
+    out[n - 1 :] = values
     return out
 
 

@@ -27,11 +27,12 @@ def _wilder_smooth(x: np.ndarray, n: int) -> np.ndarray:
     """Wilder average of x, seeded by mean(x[:n]); output aligned to x with
     the first n-1 entries NaN."""
     out = np.full(x.shape, np.nan)
-    value = x[:n].mean()
-    out[n - 1] = value
-    for t in range(n, len(x)):
-        value = (value * (n - 1) + x[t]) / n
-        out[t] = value
+    value = float(x[:n].mean())
+    values = [value]
+    for xt in x[n:].tolist():
+        value = (value * (n - 1) + xt) / n
+        values.append(value)
+    out[n - 1 :] = values
     return out
 
 
@@ -139,12 +140,13 @@ def sar(high, low, close, accel_start: float = 0.02, accel_step: float = 0.02,
         raise ValueError("SAR: needs at least 2 bars")
     out = np.full(close.shape, np.nan)
     long = close[1] >= close[0]
+    high, low = high.tolist(), low.tolist()
     if long:
         value, ep = low[0], max(high[0], high[1])
     else:
         value, ep = high[0], min(low[0], low[1])
     af = accel_start
-    out[1] = value
+    values = [value]
     for t in range(2, len(close)):
         value = value + af * (ep - value)
         if long:
@@ -159,5 +161,6 @@ def sar(high, low, close, accel_start: float = 0.02, accel_step: float = 0.02,
                 long, value, ep, af = True, ep, high[t], accel_start
             elif low[t] < ep:
                 ep, af = low[t], min(af + accel_step, accel_max)
-        out[t] = value
+        values.append(value)
+    out[1:] = values
     return FeatureColumn(name or "SAR", out, 1, "SAR")

@@ -1,17 +1,23 @@
 """Daily OHLCV ingestion: CSV loading, validation, date slicing.
 
-The canonical file format is a CSV with the exact header
-``Date,Open,High,Low,Close,Volume``, ISO-8601 dates, ``.`` decimal point
-and no thousands separators. ``Close`` is authoritative; adjusted-close
-columns, if present in source exports, are not part of this format.
+The canonical file format is a UTF-8 CSV with the exact header
+``Date,Open,High,Low,Close,Volume``, ``YYYY-MM-DD`` dates, ``.`` decimal
+point and no thousands separators. ``Close`` is authoritative;
+adjusted-close columns, if present in source exports, are not part of this
+format.
+
+A series is held as columns: the dates as int64 ordinals (``date.toordinal``)
+and the five OHLCV fields as rows of one float64 array, all read-only.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from datetime import date
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +25,13 @@ import numpy as np
 from .errors import EmptySeries, InvariantViolation, MalformedRow
 
 CSV_HEADER = ["Date", "Open", "High", "Low", "Close", "Volume"]
+_FIELDS = ("open", "high", "low", "close", "volume")
+_ISO_DAY = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_ISO_DAY_LINES = re.compile(f"{_ISO_DAY}(?:\n{_ISO_DAY})*")
+# csv.reader hands undecodable bytes through as lone surrogates (surrogateescape).
+_UNDECODED = re.compile("[\udc80-\udcff]")
+# Rows tokenised at a time by the bulk loader: its field strings live one block long.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -51,54 +64,121 @@ def bar_rule_violation(bar: Bar) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class OhlcvSeries:
-    """Time-ordered daily bars for one symbol.
+def rule_mask(values: np.ndarray) -> np.ndarray:
+    """Per bar of the (5, n) open/high/low/close/volume rows: True where
+    ``bar_rule_violation`` names a rule."""
+    o, h, lo, c, v = values
+    return (
+        ~np.isfinite(values).all(axis=0)
+        | (np.minimum(np.minimum(o, h), np.minimum(lo, c)) <= 0)
+        | (v < 0)
+        | (lo > np.minimum(o, c))
+        | (h < np.maximum(o, c))
+        | (lo > h)
+    )
 
-    Invariants checked on construction: timestamps strictly increasing
-    (hence no duplicates), every bar valid, length >= 2.
+
+def _ordinals(days) -> np.ndarray:
+    return np.fromiter(map(date.toordinal, days), np.int64)
+
+
+def _invalid_rows(dates: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """True where a bar breaks a rule or its date is not after the previous one."""
+    bad = rule_mask(values)
+    bad[1:] |= dates[1:] <= dates[:-1]
+    return bad
+
+
+class OhlcvSeries:
+    """Time-ordered daily bars for one symbol, held as read-only columns.
+
+    ``OhlcvSeries(symbol, bars)`` checks on construction: timestamps strictly
+    increasing (hence no duplicates), every bar valid, length >= 2.
     """
 
-    symbol: str
-    bars: tuple[Bar, ...]
+    __slots__ = ("symbol", "_dates", "_values")
 
-    def __post_init__(self):
-        if len(self.bars) < 2:
-            raise EmptySeries(f"{self.symbol}: need at least 2 bars, got {len(self.bars)}")
-        for i, bar in enumerate(self.bars):
-            rule = bar_rule_violation(bar)
+    def __init__(self, symbol: str, bars):
+        bars = tuple(bars)
+        if len(bars) < 2:
+            raise EmptySeries(f"{symbol}: need at least 2 bars, got {len(bars)}")
+        dates = _ordinals(b.timestamp for b in bars)
+        values = np.array([[getattr(b, f) for b in bars] for f in _FIELDS], dtype=float)
+        bad = _invalid_rows(dates, values)
+        if bad.any():
+            i = int(bad.argmax())
+            rule = bar_rule_violation(bars[i])
             if rule is not None:
-                raise InvariantViolation(None, f"bar {i} ({bar.timestamp}): {rule}")
-            if i > 0 and bar.timestamp <= self.bars[i - 1].timestamp:
-                raise InvariantViolation(None, f"bar {i}: timestamps not strictly increasing")
+                raise InvariantViolation(None, f"bar {i} ({bars[i].timestamp}): {rule}")
+            raise InvariantViolation(None, f"bar {i}: timestamps not strictly increasing")
+        self._set(symbol, dates, values)
+
+    @classmethod
+    def _from_columns(cls, symbol: str, dates: np.ndarray, values: np.ndarray) -> OhlcvSeries:
+        """A series over columns already known to be valid."""
+        series = cls.__new__(cls)
+        series._set(symbol, dates, values)
+        return series
+
+    def _set(self, symbol: str, dates: np.ndarray, values: np.ndarray) -> None:
+        dates.flags.writeable = False
+        values.flags.writeable = False
+        self.symbol = symbol
+        self._dates = dates
+        self._values = values
+
+    @property
+    def bars(self) -> tuple[Bar, ...]:
+        """The series as ``Bar``s, built on each access."""
+        return tuple(map(Bar, self.dates(), *self._values.tolist()))
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self._dates)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OhlcvSeries):
+            return NotImplemented
+        return (self.symbol == other.symbol and np.array_equal(self._dates, other._dates)
+                and np.array_equal(self._values, other._values))
+
+    def __repr__(self) -> str:
+        first, last = map(date.fromordinal, self._dates[[0, -1]].tolist())
+        return f"OhlcvSeries({self.symbol!r}, {len(self)} bars, {first}..{last})"
 
     def closes(self) -> np.ndarray:
-        return np.array([b.close for b in self.bars], dtype=float)
+        return self._values[3]
 
     def opens(self) -> np.ndarray:
-        return np.array([b.open for b in self.bars], dtype=float)
+        return self._values[0]
 
     def highs(self) -> np.ndarray:
-        return np.array([b.high for b in self.bars], dtype=float)
+        return self._values[1]
 
     def lows(self) -> np.ndarray:
-        return np.array([b.low for b in self.bars], dtype=float)
+        return self._values[2]
 
     def volumes(self) -> np.ndarray:
-        return np.array([b.volume for b in self.bars], dtype=float)
+        return self._values[4]
 
     def dates(self) -> list[date]:
-        return [b.timestamp for b in self.bars]
+        return list(map(date.fromordinal, self._dates.tolist()))
+
+
+def _parse_date(text: str) -> date:
+    """Exactly ``YYYY-MM-DD``: ``date.fromisoformat`` also takes ``20200102``
+    and ISO week dates from Python 3.11 on."""
+    if not re.fullmatch(_ISO_DAY, text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
 
 
 def _parse_row(line_no: int, row: list[str]) -> Bar:
+    if any(_UNDECODED.search(field) for field in row):
+        raise MalformedRow(line_no, "not valid UTF-8")
     if len(row) != 6:
         raise MalformedRow(line_no, f"expected 6 fields, got {len(row)}")
     try:
-        ts = date.fromisoformat(row[0].strip())
+        ts = _parse_date(row[0].strip())
     except ValueError as exc:
         raise MalformedRow(line_no, f"bad date {row[0]!r}: {exc}") from exc
     numbers = []
@@ -110,25 +190,48 @@ def _parse_row(line_no: int, row: list[str]) -> Bar:
     return Bar(ts, numbers[0], numbers[1], numbers[2], numbers[3], numbers[4])
 
 
-def load_csv(path: str | Path, symbol: str | None = None) -> OhlcvSeries:
-    """Load and validate an OHLCV CSV file.
+def _is_header(row: list[str]) -> bool:
+    return [field.strip() for field in row] == CSV_HEADER
 
-    Rows are sorted by date if not already sorted. Raises MalformedRow for
-    unparsable fields, InvariantViolation (with the source line number) for
-    bar-level violations or duplicate dates, EmptySeries for < 2 data rows.
-    """
-    path = Path(path)
-    if symbol is None:
-        symbol = path.stem
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptySeries(f"{path}: empty file") from None
-        if [h.strip() for h in header] != CSV_HEADER:
+
+def _bulk_columns(reader) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sorted dates and (5, n) values of a valid file with no blank-field
+    rows, parsed column by column over blocks of rows; None for anything else."""
+    if not _is_header(next(reader, [])):
+        return None
+    days, blocks = [], []
+    while block := list(islice(reader, _BLOCK_ROWS)):
+        body = [row for row in block if row]
+        if set(map(len, body)) - {6}:
+            return None
+        fields = list(zip(*body)) or [()] * 6
+        stamps = list(map(str.strip, fields[0]))
+        if stamps and not _ISO_DAY_LINES.fullmatch("\n".join(stamps)):
+            return None
+        days.extend(map(date.fromisoformat, stamps))
+        blocks.append(np.fromiter(map(float, chain.from_iterable(fields[1:])), float, 5 * len(body)).reshape(5, -1))
+    if len(days) < 2:
+        return None
+    dates, values = _ordinals(days), np.concatenate(blocks, axis=1)
+    order = np.argsort(dates, kind="stable")
+    dates, values = dates[order], values[:, order]
+    if _invalid_rows(dates, values).any():
+        return None
+    return dates, values
+
+
+def _checked_bars(path: Path, reader) -> tuple[Bar, ...]:
+    """Row-by-row load: the first failing line in file order raises; blank
+    rows are skipped; bars come back sorted by date."""
+    rows: list[tuple[int, Bar]] = []
+    line_no = 0
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptySeries(f"{path}: empty file")
+        if not _is_header(header):
             raise MalformedRow(1, f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}")
-        rows: list[tuple[int, Bar]] = []
+        line_no = 1
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not field.strip() for field in row):
                 continue
@@ -137,31 +240,55 @@ def load_csv(path: str | Path, symbol: str | None = None) -> OhlcvSeries:
             if rule is not None:
                 raise InvariantViolation(line_no, rule)
             rows.append((line_no, bar))
+    except csv.Error as exc:  # raised while reading the record after line_no
+        raise MalformedRow(line_no + 1, str(exc)) from None
     if len(rows) < 2:
         raise EmptySeries(f"{path}: {len(rows)} valid rows, need at least 2")
     rows.sort(key=lambda item: item[1].timestamp)
     for (_, prev), (line_no, cur) in zip(rows, rows[1:]):
         if cur.timestamp == prev.timestamp:
             raise InvariantViolation(line_no, f"duplicate date {cur.timestamp}")
-    return OhlcvSeries(symbol=symbol, bars=tuple(bar for _, bar in rows))
+    return tuple(bar for _, bar in rows)
+
+
+def load_csv(path: str | Path, symbol: str | None = None) -> OhlcvSeries:
+    """Load and validate an OHLCV CSV file.
+
+    Rows are sorted by date if not already sorted. Blank rows are skipped.
+    Raises MalformedRow for undecodable, untokenisable or unparsable rows,
+    InvariantViolation (with the source line number) for bar-level
+    violations or duplicate dates, EmptySeries for < 2 data rows. Each line
+    is checked in turn (encoding, field count, date, numbers in column
+    order, bar rules) and the first failing line in file order is reported.
+    """
+    path = Path(path)
+    if symbol is None:
+        symbol = path.stem
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            columns = _bulk_columns(csv.reader(handle))
+    except (ValueError, csv.Error):  # a bad number or date; UnicodeDecodeError is a ValueError
+        columns = None
+    if columns is not None:
+        return OhlcvSeries._from_columns(symbol, *columns)
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
+        return OhlcvSeries(symbol, _checked_bars(path, csv.reader(handle)))
 
 
 def save_csv(series: OhlcvSeries, path: str | Path) -> None:
-    """Write the canonical CSV format. load_csv(save_csv(s)) == s."""
+    """Write the canonical CSV format (``\\r\\n`` line ends, ``repr`` floats).
+    load_csv(save_csv(s)) == s."""
+    days = map(date.isoformat, series.dates())
+    rows = map(",".join, zip(days, *(map(repr, column) for column in series._values.tolist())))
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        for bar in series.bars:
-            writer.writerow(
-                [bar.timestamp.isoformat(), repr(bar.open), repr(bar.high), repr(bar.low), repr(bar.close), repr(bar.volume)]
-            )
+        handle.write("\r\n".join([",".join(CSV_HEADER), *rows, ""]))
 
 
 def slice_by_date(series: OhlcvSeries, start: date, end: date) -> OhlcvSeries:
     """Bars with start <= timestamp < end, order preserved."""
     if start > end:
         raise ValueError(f"start {start} after end {end}")
-    kept = tuple(b for b in series.bars if start <= b.timestamp < end)
-    if len(kept) < 2:
-        raise EmptySeries(f"{series.symbol}: {len(kept)} bars in [{start}, {end})")
-    return OhlcvSeries(symbol=series.symbol, bars=kept)
+    lo, hi = np.searchsorted(series._dates, [start.toordinal(), end.toordinal()])
+    if hi - lo < 2:
+        raise EmptySeries(f"{series.symbol}: {hi - lo} bars in [{start}, {end})")
+    return OhlcvSeries._from_columns(series.symbol, series._dates[lo:hi], series._values[:, lo:hi])

@@ -87,8 +87,9 @@ def _load_series(cfg: ExperimentConfig):
         raise SchemaError("data.path", "this command needs a data file")
     series = load_csv(cfg.data.path)
     if cfg.data.start is not None or cfg.data.end is not None:
-        start = cfg.data.start or series.bars[0].timestamp
-        end = cfg.data.end or series.bars[-1].timestamp + timedelta(days=1)
+        dates = series.dates()
+        start = cfg.data.start or dates[0]
+        end = cfg.data.end or dates[-1] + timedelta(days=1)
         series = slice_by_date(series, start, end)
     return series
 
@@ -110,7 +111,8 @@ def _cmd_ingest(args) -> int:
     series = _load_series(cfg)
     out = _out_dir(cfg) / "data.csv"
     save_csv(series, out)
-    print(f"wrote {out} ({len(series)} bars, {series.bars[0].timestamp}..{series.bars[-1].timestamp})")
+    dates = series.dates()
+    print(f"wrote {out} ({len(series)} bars, {dates[0]}..{dates[-1]})")
     return EXIT_OK
 
 

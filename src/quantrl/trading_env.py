@@ -10,7 +10,6 @@ return realized on flips, and a single terminal equity log ratio.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -126,11 +125,11 @@ class EpisodeLedger:
         return np.array([r.equity for r in self.records], dtype=float)
 
     def to_csv(self, path: str | Path) -> None:
+        """CSV with ``\\r\\n`` line ends and ``repr`` floats."""
+        lines = [f"{r.step},{int(r.action)},{int(r.position)},{r.price!r},{r.reward!r},{r.equity!r}\r\n"
+                 for r in self.records]
         with atomic_open(path, newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["step", "action", "position", "price", "reward", "equity"])
-            for r in self.records:
-                writer.writerow([r.step, int(r.action), int(r.position), repr(r.price), repr(r.reward), repr(r.equity)])
+            handle.write("".join(["step,action,position,price,reward,equity\r\n", *lines]))
 
 
 def reward_immediate(position: Position, p_prev: float, p_curr: float) -> float:

@@ -5,7 +5,9 @@ Python loops and window recomputation - no shared code with the package
 and no incremental shortcuts beyond the definitions themselves.
 """
 
+import csv
 import math
+from datetime import date
 
 import numpy as np
 
@@ -370,3 +372,85 @@ def o_mlp_backward(policy, cache, grad_out):
         if i > 0:
             delta = delta @ policy.weights[i].T
     return np.concatenate([p.ravel() for pair in zip(grad_w, grad_b) for p in pair])
+
+
+# --- CSV ingestion, one row at a time ------------------------------------------------
+# The loader as it was before series became columnar: it reads each row, checks it
+# and keeps it as a tuple, then sorts by date and rejects duplicates. It reports a
+# rejection as OracleRejected, naming the error type the package raises; undecodable
+# bytes and csv.Error escape from it unconverted.
+
+O_CSV_HEADER = ["Date", "Open", "High", "Low", "Close", "Volume"]
+
+
+class OracleRejected(Exception):
+    def __init__(self, kind, line_no, message):
+        super().__init__(message)
+        self.kind = kind
+        self.line_no = line_no
+        self.message = message
+
+
+def _o_reject(kind, line_no, detail):
+    where = f"line {line_no}: " if line_no is not None else ""
+    raise OracleRejected(kind, line_no, where + detail)
+
+
+def o_bar_rule(o, h, lo, c, v):
+    if not all(math.isfinite(x) for x in (o, h, lo, c, v)):
+        return "non-finite field"
+    if min(o, h, lo, c) <= 0:
+        return "price not strictly positive"
+    if v < 0:
+        return "negative volume"
+    if lo > min(o, c):
+        return "low above min(open, close)"
+    if h < max(o, c):
+        return "high below max(open, close)"
+    if lo > h:
+        return "low above high"
+    return None
+
+
+def _o_parse_row(line_no, row):
+    if len(row) != 6:
+        _o_reject("MalformedRow", line_no, f"expected 6 fields, got {len(row)}")
+    try:
+        ts = date.fromisoformat(row[0].strip())
+    except ValueError as exc:
+        _o_reject("MalformedRow", line_no, f"bad date {row[0]!r}: {exc}")
+    numbers = []
+    for field_name, text in zip(O_CSV_HEADER[1:], row[1:]):
+        try:
+            numbers.append(float(text))
+        except ValueError:
+            _o_reject("MalformedRow", line_no, f"bad {field_name} {text!r}")
+    return (ts, *numbers)
+
+
+def o_load_csv(path):
+    """(timestamp, open, high, low, close, volume) tuples sorted by date."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            _o_reject("EmptySeries", None, f"{path}: empty file")
+        if [h.strip() for h in header] != O_CSV_HEADER:
+            _o_reject("MalformedRow", 1, f"expected header {','.join(O_CSV_HEADER)!r}, got {','.join(header)!r}")
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not field.strip() for field in row):
+                continue
+            bar = _o_parse_row(line_no, row)
+            rule = o_bar_rule(*bar[1:])
+            if rule is not None:
+                _o_reject("InvariantViolation", line_no, rule)
+            rows.append((line_no, bar))
+    if len(rows) < 2:
+        _o_reject("EmptySeries", None, f"{path}: {len(rows)} valid rows, need at least 2")
+    rows.sort(key=lambda item: item[1][0])
+    for (_, prev), (line_no, cur) in zip(rows, rows[1:]):
+        if cur[0] == prev[0]:
+            _o_reject("InvariantViolation", line_no, f"duplicate date {cur[0]}")
+    return [bar for _, bar in rows]

@@ -256,3 +256,51 @@ def test_run_policy_actions_equal_per_row_argmax(flag, net):
         assert actions == {0}  # ties go to Sell
     else:
         assert actions == {0, 1}
+
+
+def _row_wise_bundle(ledger, curve, trades, start_cursor):
+    """equity.csv, ledger.csv and equity.svg written one row and one point at a time."""
+    import csv
+    import io
+
+    equity = "step,equity\n" + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(curve.values))
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["step", "action", "position", "price", "reward", "equity"])
+    for r in ledger.records:
+        writer.writerow([r.step, int(r.action), int(r.position), repr(r.price), repr(r.reward), repr(r.equity)])
+    width, height, pad = 800, 400, 20
+    values = curve.values
+    lo, hi = float(values.min()), float(values.max())
+    span = (hi - lo) or 1.0
+    n = len(values)
+
+    def x(i):
+        return pad + (width - 2 * pad) * (i / max(n - 1, 1))
+
+    def y(v):
+        return height - pad - (height - 2 * pad) * ((v - lo) / span)
+
+    points = " ".join(f"{x(i):.2f},{y(v):.2f}" for i, v in enumerate(values))
+    markers = ""
+    for trade in trades:
+        i = min(max(trade.entry_idx - start_cursor, 0), n - 1)
+        color = "#2a7" if trade.direction is Position.LONG else "#c33"
+        markers += f'<circle cx="{x(i):.2f}" cy="{y(float(values[i])):.2f}" r="3" fill="{color}"/>'
+    svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
+           f'<rect width="{width}" height="{height}" fill="white"/>'
+           f'<polyline fill="none" stroke="#246" stroke-width="1.5" points="{points}"/>' + markers + "</svg>")
+    return {"equity": equity.encode(), "ledger": buffer.getvalue().encode(), "svg": svg.encode()}
+
+
+@pytest.mark.parametrize("n, seed", [(50, 9), (300, 2), (120, 14)])
+def test_render_report_bytes_equal_row_wise_formatting(tmp_path, n, seed):
+    env = build_env(n=n, seed=seed, commission=0.001)
+    rng = np.random.default_rng(seed)
+    policy = MlpPolicy([rng.normal(0.0, 1.0, (env.observation_size, 2))], [np.zeros(2)])
+    ledger, curve, trades = run_policy(env, policy)
+    assert trades
+    paths = render_report(compute_report(curve, trades), ledger, curve, trades, tmp_path, env.start_cursor)
+    expected = _row_wise_bundle(ledger, curve, trades, env.start_cursor)
+    for name, data in expected.items():
+        assert paths[name].read_bytes() == data, name
