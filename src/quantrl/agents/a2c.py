@@ -125,7 +125,7 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
     rollout = _Rollout(hp.n_steps, env.observation_size)
     rows_per_cursor = 2 if env.config.include_position_flag else 1
     thresholds = RowBlocks(env, lambda rows: sell_thresholds(actor, rows), (hp.n_steps + 1) * rows_per_cursor)
-    obs = rollout.observe(env.reset(seed))
+    obs = rollout.observe(env.reset())
     episode_return = 0.0
     last_loss = float("nan")
     steps = 0
@@ -142,7 +142,7 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
         if result.done:
             log.append(TrainingRecord(steps, episode_return, last_loss))
             episode_return = 0.0
-            window = env.reset(seed)
+            window = env.reset()
         obs = rollout.observe(window)
         if rollout.full:
             last_loss = update(nets, actor_learner, critic_learner, rollout, obs, rng)

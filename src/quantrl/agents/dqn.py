@@ -72,8 +72,7 @@ class DqnTrainer:
         self.step_count = 0
         self.last_loss = float("nan")
         self._episode_return = 0.0
-        self._seed = seed
-        env.reset(seed)
+        env.reset()
         self._obs_index = env.observation_index
 
     @property
@@ -117,7 +116,7 @@ class DqnTrainer:
         if result.done:
             self.log.append(TrainingRecord(self.step_count, self._episode_return, self.last_loss, eps))
             self._episode_return = 0.0
-            self.env.reset(self._seed)
+            self.env.reset()
             self._obs_index = self.env.observation_index
 
     def run(self) -> TrainingLog:

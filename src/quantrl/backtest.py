@@ -76,7 +76,7 @@ def _gross(direction: Position, entry_px: float, exit_px: float) -> float:
     return exit_px / entry_px if direction is Position.LONG else entry_px / exit_px
 
 
-def run_policy(env: TradingEnv, policy: MlpPolicy, seed: int | None = None):
+def run_policy(env: TradingEnv, policy: MlpPolicy):
     """Run one greedy episode (argmax actions, ties to Sell). The policy is
     evaluated over blocks of observation-table rows, not one row per bar.
 
@@ -84,7 +84,7 @@ def run_policy(env: TradingEnv, policy: MlpPolicy, seed: int | None = None):
     trades; a same-bar reversal produces no trade record (commission still
     applies to equity).
     """
-    env.reset(seed)
+    env.reset()
     if policy.input_size != env.observation_size:
         raise ShapeMismatch(
             f"policy input {policy.input_size} != observation size {env.observation_size}"

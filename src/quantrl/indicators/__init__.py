@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
 from ..errors import QuantrlError
 from ..market_data import OhlcvSeries
-from .base import DEFAULT_PERIODS, KINDS, FeatureColumn, FeatureMatrix, IndicatorSpec
+from .base import FeatureColumn, FeatureMatrix
 from .moving import dema, ema, macd, sma, tema, trima, trix, wma
 from .momentum import cmo, mom, roc, rsi, stochastic, stochrsi
 from .trend import adx, atr, bop, cci, sar, uo
@@ -16,6 +19,106 @@ __all__ = [
     "dema", "ema", "macd", "mfi", "mom", "obv", "roc", "rsi", "sar", "sma",
     "stochastic", "stochrsi", "tema", "trima", "trix", "uo", "wma",
 ]
+
+
+class _Indicator(NamedTuple):
+    """How a config kind computes its column: ``function(*inputs, *params,
+    name=...)``, or ``function(*inputs, *params, names=...)[pair]`` when the
+    function returns a pair of columns. ``inputs`` are OhlcvSeries accessors,
+    ``params`` IndicatorSpec fields, ``name`` the default column name as a
+    format string over the spec's fields, and ``period`` the default period."""
+
+    function: Callable
+    inputs: tuple[str, ...]
+    params: tuple[str, ...]
+    name: str
+    pair: int | None = None
+    period: int | None = None
+
+
+_C = ("closes",)
+_HLC = ("highs", "lows", "closes")
+_N = ("period",)
+_BY_N = "{kind}_{period}"
+_MACD = ("fast", "slow", "signal")
+
+_INDICATORS = {
+    "SMA": _Indicator(sma, _C, _N, _BY_N, period=30),
+    "OBV": _Indicator(obv, ("closes", "volumes"), (), "OBV"),
+    "MOM": _Indicator(mom, _C, _N, _BY_N, period=10),
+    "STOCH_K": _Indicator(stochastic, _HLC, ("period", "d_period"), _BY_N, 0, 14),
+    "STOCH_D": _Indicator(stochastic, _HLC, ("period", "d_period"), "STOCH_D_{period}_{d_period}", 1, 14),
+    "MACD": _Indicator(macd, _C, _MACD, "MACD_{fast}_{slow}", 0),
+    "MACD_SIGNAL": _Indicator(macd, _C, _MACD, "MACD_SIGNAL_{fast}_{slow}_{signal}", 1),
+    "CCI": _Indicator(cci, _HLC, _N, _BY_N, period=14),
+    "ADX": _Indicator(adx, _HLC, _N, _BY_N, period=14),
+    "TRIX": _Indicator(trix, _C, _N, _BY_N, period=10),
+    "ROC": _Indicator(roc, _C, _N, _BY_N, period=10),
+    "SAR": _Indicator(sar, _HLC, ("accel_start", "accel_step", "accel_max"), "SAR"),
+    "TEMA": _Indicator(tema, _C, _N, _BY_N, period=30),
+    "TRIMA": _Indicator(trima, _C, _N, _BY_N, period=30),
+    "WMA": _Indicator(wma, _C, _N, _BY_N, period=30),
+    "DEMA": _Indicator(dema, _C, _N, _BY_N, period=30),
+    "MFI": _Indicator(mfi, (*_HLC, "volumes"), _N, _BY_N, period=14),
+    "CMO": _Indicator(cmo, _C, _N, _BY_N, period=14),
+    "STOCHRSI": _Indicator(stochrsi, _C, _N, _BY_N, period=14),
+    "UO": _Indicator(uo, _HLC, ("periods",), "UO_{periods[0]}_{periods[1]}_{periods[2]}"),
+    "BOP": _Indicator(bop, ("opens", *_HLC), (), "BOP"),
+    "ATR": _Indicator(atr, _HLC, _N, _BY_N, period=14),
+    "RSI": _Indicator(rsi, _C, _N, _BY_N, period=14),
+}
+
+KINDS = tuple(_INDICATORS)
+
+# Default periods for indicators used without explicit parameters.
+DEFAULT_PERIODS = {kind: ind.period for kind, ind in _INDICATORS.items() if ind.period is not None}
+
+
+@dataclass(frozen=True)
+class IndicatorSpec:
+    """Parameters for one indicator column.
+
+    ``period`` defaults per kind (DEFAULT_PERIODS). MACD uses fast/slow/signal,
+    STOCH_D adds d_period, UO uses three strictly increasing periods, SAR uses
+    the acceleration start/step/max triple.
+    """
+
+    kind: str
+    period: int | None = None
+    fast: int = 12
+    slow: int = 26
+    signal: int = 9
+    d_period: int = 3
+    periods: tuple[int, int, int] = (7, 14, 28)
+    accel_start: float = 0.02
+    accel_step: float = 0.02
+    accel_max: float = 0.2
+    name: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown indicator kind {self.kind!r}")
+        if self.period is None and self.kind in DEFAULT_PERIODS:
+            object.__setattr__(self, "period", DEFAULT_PERIODS[self.kind])
+        if self.period is not None and self.period < 1:
+            raise ValueError(f"{self.kind}: period must be >= 1, got {self.period}")
+        if self.kind in ("MACD", "MACD_SIGNAL"):
+            if min(self.fast, self.slow, self.signal) < 1:
+                raise ValueError(f"{self.kind}: periods must be >= 1")
+            if self.fast >= self.slow:
+                raise ValueError(f"{self.kind}: fast {self.fast} must be < slow {self.slow}")
+        if self.kind == "STOCH_D" and self.d_period < 1:
+            raise ValueError(f"STOCH_D: d_period must be >= 1, got {self.d_period}")
+        if self.kind == "UO":
+            p1, p2, p3 = self.periods
+            if not (1 <= p1 < p2 < p3):
+                raise ValueError(f"UO: periods must be strictly increasing and >= 1, got {self.periods}")
+
+    @property
+    def column_name(self) -> str:
+        if self.name is not None:
+            return self.name
+        return _INDICATORS[self.kind].name.format(**vars(self))
 
 
 def default_specs() -> list[IndicatorSpec]:
@@ -46,61 +149,13 @@ def default_specs() -> list[IndicatorSpec]:
 
 def compute_column(series: OhlcvSeries, spec: IndicatorSpec) -> FeatureColumn:
     """Compute one indicator column from a validated series."""
-    close = series.closes()
+    ind = _INDICATORS[spec.kind]
+    args = [getattr(series, accessor)() for accessor in ind.inputs]
+    args += [getattr(spec, param) for param in ind.params]
     name = spec.column_name
-    kind = spec.kind
-    if kind == "SMA":
-        return sma(close, spec.period, name)
-    if kind == "WMA":
-        return wma(close, spec.period, name)
-    if kind == "TRIMA":
-        return trima(close, spec.period, name)
-    if kind == "DEMA":
-        return dema(close, spec.period, name)
-    if kind == "TEMA":
-        return tema(close, spec.period, name)
-    if kind == "TRIX":
-        return trix(close, spec.period, name)
-    if kind == "MOM":
-        return mom(close, spec.period, name)
-    if kind == "ROC":
-        return roc(close, spec.period, name)
-    if kind == "RSI":
-        return rsi(close, spec.period, name)
-    if kind == "CMO":
-        return cmo(close, spec.period, name)
-    if kind == "STOCHRSI":
-        return stochrsi(close, spec.period, name)
-    if kind in ("STOCH_K", "STOCH_D"):
-        k_col, d_col = stochastic(
-            series.highs(), series.lows(), close, spec.period, spec.d_period,
-            names=(name, name),
-        )
-        return k_col if kind == "STOCH_K" else d_col
-    if kind in ("MACD", "MACD_SIGNAL"):
-        line, signal_col = macd(
-            close, spec.fast, spec.slow, spec.signal,
-            names=(name, name),
-        )
-        return line if kind == "MACD" else signal_col
-    if kind == "OBV":
-        return obv(close, series.volumes(), name)
-    if kind == "MFI":
-        return mfi(series.highs(), series.lows(), close, series.volumes(), spec.period, name)
-    if kind == "ATR":
-        return atr(series.highs(), series.lows(), close, spec.period, name)
-    if kind == "BOP":
-        return bop(series.opens(), series.highs(), series.lows(), close, name)
-    if kind == "CCI":
-        return cci(series.highs(), series.lows(), close, spec.period, name)
-    if kind == "ADX":
-        return adx(series.highs(), series.lows(), close, spec.period, name)
-    if kind == "UO":
-        return uo(series.highs(), series.lows(), close, spec.periods, name)
-    if kind == "SAR":
-        return sar(series.highs(), series.lows(), close,
-                   spec.accel_start, spec.accel_step, spec.accel_max, name)
-    raise ValueError(f"unknown indicator kind {kind!r}")
+    if ind.pair is None:
+        return ind.function(*args, name=name)
+    return ind.function(*args, names=(name, name))[ind.pair]
 
 
 def compute_feature_matrix(series: OhlcvSeries, specs: list[IndicatorSpec]) -> FeatureMatrix:

@@ -1,83 +1,16 @@
-"""Feature column containers and indicator parameter specs."""
+"""Feature column containers."""
 
 from __future__ import annotations
 
 import csv
+import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-KINDS = (
-    "SMA", "OBV", "MOM", "STOCH_K", "STOCH_D", "MACD", "MACD_SIGNAL",
-    "CCI", "ADX", "TRIX", "ROC", "SAR", "TEMA", "TRIMA", "WMA", "DEMA",
-    "MFI", "CMO", "STOCHRSI", "UO", "BOP", "ATR", "RSI",
-)
-
-# Default periods for indicators used without explicit parameters.
-DEFAULT_PERIODS = {
-    "RSI": 14, "ATR": 14, "ADX": 14, "MFI": 14, "CMO": 14,
-    "STOCH_K": 14, "STOCH_D": 14, "STOCHRSI": 14, "CCI": 14,
-    "MOM": 10, "ROC": 10, "TRIX": 10,
-    "SMA": 30, "WMA": 30, "DEMA": 30, "TEMA": 30, "TRIMA": 30,
-}
-
-
-@dataclass(frozen=True)
-class IndicatorSpec:
-    """Parameters for one indicator column.
-
-    ``period`` defaults per kind (DEFAULT_PERIODS). MACD uses fast/slow/signal,
-    STOCH_D adds d_period, UO uses three strictly increasing periods, SAR uses
-    the acceleration start/step/max triple.
-    """
-
-    kind: str
-    period: int | None = None
-    fast: int = 12
-    slow: int = 26
-    signal: int = 9
-    d_period: int = 3
-    periods: tuple[int, int, int] = (7, 14, 28)
-    accel_start: float = 0.02
-    accel_step: float = 0.02
-    accel_max: float = 0.2
-    name: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown indicator kind {self.kind!r}")
-        if self.period is None and self.kind in DEFAULT_PERIODS:
-            object.__setattr__(self, "period", DEFAULT_PERIODS[self.kind])
-        if self.period is not None and self.period < 1:
-            raise ValueError(f"{self.kind}: period must be >= 1, got {self.period}")
-        if self.kind in ("MACD", "MACD_SIGNAL"):
-            if min(self.fast, self.slow, self.signal) < 1:
-                raise ValueError(f"{self.kind}: periods must be >= 1")
-            if self.fast >= self.slow:
-                raise ValueError(f"{self.kind}: fast {self.fast} must be < slow {self.slow}")
-        if self.kind == "STOCH_D" and self.d_period < 1:
-            raise ValueError(f"STOCH_D: d_period must be >= 1, got {self.d_period}")
-        if self.kind == "UO":
-            p1, p2, p3 = self.periods
-            if not (1 <= p1 < p2 < p3):
-                raise ValueError(f"UO: periods must be strictly increasing and >= 1, got {self.periods}")
-
-    @property
-    def column_name(self) -> str:
-        if self.name is not None:
-            return self.name
-        if self.kind in ("OBV", "BOP", "SAR"):
-            return self.kind
-        if self.kind == "MACD":
-            return f"MACD_{self.fast}_{self.slow}"
-        if self.kind == "MACD_SIGNAL":
-            return f"MACD_SIGNAL_{self.fast}_{self.slow}_{self.signal}"
-        if self.kind == "STOCH_D":
-            return f"STOCH_D_{self.period}_{self.d_period}"
-        if self.kind == "UO":
-            return "UO_{}_{}_{}".format(*self.periods)
-        return f"{self.kind}_{self.period}"
+from ..atomic import atomic_open
 
 
 @dataclass(frozen=True)
@@ -158,14 +91,16 @@ class FeatureMatrix:
         raise KeyError(name)
 
     def to_csv(self, path: str | Path, dates) -> None:
-        """Export with a leading Date column; warm-up cells are empty."""
+        """Export with a leading Date column; warm-up (NaN) cells are empty.
+        ``\\r\\n`` line ends and ``repr`` floats; the header is quoted as
+        ``csv.writer`` quotes it, since a column name may contain a comma."""
         if len(dates) != len(self):
             raise ValueError(f"{len(dates)} dates for {len(self)} rows")
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["Date"] + self.names)
-            for i, day in enumerate(dates):
-                row = [day.isoformat() if hasattr(day, "isoformat") else str(day)]
-                for col in self.columns:
-                    row.append("" if i < col.warmup else repr(float(col.values[i])))
-                writer.writerow(row)
+        header = io.StringIO()
+        csv.writer(header).writerow(["Date"] + self.names)
+        with atomic_open(path, newline="") as handle:
+            handle.write(header.getvalue())
+            for day, row in zip(dates, self.to_array()):
+                day = day.isoformat() if hasattr(day, "isoformat") else str(day)
+                cells = ["" if math.isnan(v) else repr(v) for v in row.tolist()]
+                handle.write(",".join([day, *cells]) + "\r\n")

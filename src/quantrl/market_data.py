@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import EmptySeries, InvariantViolation, MalformedRow
 
 CSV_HEADER = ["Date", "Open", "High", "Low", "Close", "Volume"]
@@ -280,7 +281,7 @@ def save_csv(series: OhlcvSeries, path: str | Path) -> None:
     load_csv(save_csv(s)) == s."""
     days = map(date.isoformat, series.dates())
     rows = map(",".join, zip(days, *(map(repr, column) for column in series._values.tolist())))
-    with open(path, "w", newline="") as handle:
+    with atomic_open(path, newline="") as handle:
         handle.write("\r\n".join([",".join(CSV_HEADER), *rows, ""]))
 
 

@@ -14,7 +14,9 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .atomic import atomic_open
 from .errors import EmptyInput, NonPositiveValue, ZeroVector
 from .indicators import FeatureMatrix
 
@@ -29,12 +31,13 @@ class NormalizationKind(str, Enum):
 
 @dataclass(frozen=True)
 class NormalizationStats:
-    """Mean/std/min/max of the fitted segment (population std)."""
+    """Mean/std/min/max and Euclidean norm of the fitted segment (population std)."""
 
     mean: float
     std: float
     min: float
     max: float
+    norm: float
 
 
 def fit(values) -> NormalizationStats:
@@ -48,6 +51,7 @@ def fit(values) -> NormalizationStats:
         std=float(values.std()),
         min=float(values.min()),
         max=float(values.max()),
+        norm=float(np.sqrt(np.sum(values * values))),
     )
 
 
@@ -91,6 +95,11 @@ def sigmoid_norm(x, stats: NormalizationStats):
     return float(result) if result.ndim == 0 else result
 
 
+def _l2_scale(x, stats: NormalizationStats):
+    """x / norm with the fitted column norm; a zero norm maps to 0."""
+    return x / stats.norm if stats.norm > 0.0 else np.zeros_like(x)
+
+
 def l2_normalize(values) -> np.ndarray:
     """values / sqrt(sum(values^2)); output has unit Euclidean norm."""
     values = np.asarray(values, dtype=float)
@@ -100,36 +109,66 @@ def l2_normalize(values) -> np.ndarray:
     return values / norm
 
 
-def window_log(window) -> np.ndarray:
-    """log(s_ij / s_00) * 10 with s_00 the window's first cell (natural log)."""
-    window = np.asarray(window, dtype=float)
-    if window.size == 0:
-        raise EmptyInput("empty window")
-    if np.any(window <= 0.0):
-        cell = np.argwhere(window <= 0.0)[0]
-        raise NonPositiveValue(f"cell {tuple(int(i) for i in cell)}: value {window[tuple(cell)]} <= 0")
-    return np.log(window / window.flat[0]) * 10.0
+def window_log(windows) -> np.ndarray:
+    """log(s_ij / s_00) * 10 (natural log), s_00 the first cell of each window.
 
-
-def apply_kind(kind: NormalizationKind, values, stats: NormalizationStats | None = None):
-    """Apply one elementwise scheme to a column; fits stats when not given.
-
-    WindowLog is per-window, not per-column, and is rejected here.
+    A window is the last two axes of ``windows``, batched over any leading axes;
+    a 1-D input is one window.
     """
-    values = np.asarray(values, dtype=float)
-    if kind == NormalizationKind.L2:
-        return l2_normalize(values)
+    windows = np.asarray(windows, dtype=float)
+    if windows.size == 0:
+        raise EmptyInput("empty window")
+    if np.any(windows <= 0.0):
+        cell = np.argwhere(windows <= 0.0)[0]
+        raise NonPositiveValue(f"cell {tuple(int(i) for i in cell)}: value {windows[tuple(cell)]} <= 0")
+    anchors = windows[..., :1, :1] if windows.ndim > 1 else windows[:1]
+    return np.log(windows / anchors) * 10.0
+
+
+_SCALERS = {
+    NormalizationKind.MIN_MAX: min_max,
+    NormalizationKind.Z_SCORE: z_score,
+    NormalizationKind.SIGMOID: sigmoid_norm,
+    NormalizationKind.L2: _l2_scale,
+}
+
+
+def normalize(kind: NormalizationKind, columns, names, first_row: int,
+              stats: list[NormalizationStats] | None = None, window: int | None = None) -> np.ndarray:
+    """Scale each column of the (rows, width) feature block ``columns`` by ``kind``.
+
+    MinMax, ZScore, Sigmoid and L2 scale a column by its stats: the frozen
+    ``stats`` given, one per column, or else stats fitted on the column with 1-D
+    reductions. A zero range or sigma maps to 0 (Sigmoid: 0.5), a zero norm to 0.
+    WindowLog is stateless (``stats`` go unread): ``window_log`` anchors each
+    window at its first cell, and a value <= 0 raises NonPositiveValue naming its
+    column (from ``names``) and row (``first_row`` plus its row in ``columns``).
+
+    With ``window``, the result is every run of ``window`` consecutive rows,
+    shape (rows - window + 1, window, width); otherwise the whole block is one
+    window and the result has its shape.
+    """
+    columns = np.asarray(columns, dtype=float)
+    width = columns.shape[1]
+    if stats is not None and len(stats) != width:
+        raise ValueError(f"{len(stats)} stats for {width} columns")
+
+    def windows(block):
+        return block if window is None else sliding_window_view(block, (window, width))[:, 0]
+
     if kind == NormalizationKind.WINDOW_LOG:
-        raise ValueError("WindowLog applies to observation windows, not columns")
-    if stats is None:
-        stats = fit(values)
-    if kind == NormalizationKind.MIN_MAX:
-        return min_max(values, stats)
-    if kind == NormalizationKind.Z_SCORE:
-        return z_score(values, stats)
-    if kind == NormalizationKind.SIGMOID:
-        return sigmoid_norm(values, stats)
-    raise ValueError(f"unknown normalization kind {kind!r}")
+        try:
+            return window_log(windows(columns))
+        except NonPositiveValue:
+            row, col = np.argwhere(columns <= 0.0)[0]
+            raise NonPositiveValue(
+                f"column {names[col]} row {first_row + row}: WindowLog needs strictly positive features"
+            ) from None
+    scale = _SCALERS[kind]
+    out = np.empty_like(columns)
+    for j in range(width):
+        out[:, j] = scale(columns[:, j], fit(columns[:, j]) if stats is None else stats[j])
+    return windows(out)
 
 
 @dataclass(frozen=True)
@@ -163,7 +202,7 @@ class CorrelationMatrix:
         return float(self.values[self.names.index(a), self.names.index(b)])
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as handle:
+        with atomic_open(path, newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow([""] + list(self.names))
             for name, row in zip(self.names, self.values):
@@ -186,8 +225,8 @@ def pearson_corr_matrix(
     """Pearson matrix on the commonly defined rows after per-column scaling.
 
     ``overrides`` maps indicator kinds to a different scheme (the per-family
-    mode); unlisted columns use ``kind``. WindowLog columns use the first
-    common-region value as the log reference.
+    mode); unlisted columns use ``kind``. Each column is scaled on its own, so a
+    WindowLog column is one window anchored at its first commonly defined row.
     """
     start = features.warmup
     raw = features.to_array()[start:]
@@ -198,18 +237,14 @@ def pearson_corr_matrix(
     transformed = np.empty_like(raw)
     degenerate = []
     for j, col in enumerate(features.columns):
-        col_kind = (overrides or {}).get(col.kind, kind)
-        values = raw[:, j]
-        if np.ptp(values) == 0.0:
+        # a raw-constant column is degenerate before any scaling, which keeps
+        # L2 and WindowLog away from it
+        if np.ptp(raw[:, j]) == 0.0:
             degenerate.append(col.name)
             transformed[:, j] = 0.0
             continue
-        if col_kind == NormalizationKind.WINDOW_LOG:
-            transformed[:, j] = window_log(values)
-        elif col_kind == NormalizationKind.L2:
-            transformed[:, j] = l2_normalize(values)
-        else:
-            transformed[:, j] = apply_kind(col_kind, values)
+        col_kind = (overrides or {}).get(col.kind, kind)
+        transformed[:, j] = normalize(col_kind, raw[:, j : j + 1], (col.name,), start)[:, 0]
     matrix = np.eye(k)
     live = [j for j in range(k) if names[j] not in degenerate]
     # a nonlinear transform can flatten a non-constant column; recheck

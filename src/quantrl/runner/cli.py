@@ -17,8 +17,9 @@ from pathlib import Path
 
 from .. import __version__
 from ..agents import a2c_train, dqn_train, load_policy, ppo_train, save_policy
+from ..atomic import atomic_open
 from ..backtest import compute_report, render_report, run_policy
-from ..errors import EmptySeries, InvariantViolation, MalformedRow, QuantrlError, SchemaError
+from ..errors import EmptySeries, InvariantViolation, MalformedRow, NonPositiveValue, QuantrlError, SchemaError
 from ..indicators import compute_feature_matrix
 from ..market_data import load_csv, save_csv, slice_by_date
 from ..normalize import pearson_corr_matrix, select_uncorrelated
@@ -134,9 +135,10 @@ def _cmd_corr(args) -> int:
     selected = select_uncorrelated(matrix, args.threshold)
     out = _out_dir(cfg)
     matrix.to_csv(out / "corr.csv")
-    (out / "selected.json").write_text(json.dumps(
-        {"threshold": args.threshold, "selected": selected, "degenerate": list(matrix.degenerate)},
-        indent=2) + "\n")
+    with atomic_open(out / "selected.json") as handle:
+        handle.write(json.dumps(
+            {"threshold": args.threshold, "selected": selected, "degenerate": list(matrix.degenerate)},
+            indent=2) + "\n")
     print(f"wrote {out / 'corr.csv'} and {out / 'selected.json'} ({len(selected)}/{features.width} kept)")
     return EXIT_OK
 
@@ -176,7 +178,7 @@ def _cmd_backtest(args) -> int:
         raise QuantrlError(f"policy file not found: {policy_path}")
     policy = load_policy(policy_path)
     env = _build_env(cfg)
-    ledger, curve, trades = run_policy(env, policy, cfg.seed)
+    ledger, curve, trades = run_policy(env, policy)
     report = compute_report(curve, trades)
     paths = render_report(report, ledger, curve, trades, out, env.start_cursor)
     manifest = RunManifest(
@@ -220,7 +222,7 @@ def _cmd_compare(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "compare.csv", "w") as handle:
+        with atomic_open(out / "compare.csv") as handle:
             for row in rows:
                 handle.write(",".join(row) + "\n")
         print(f"wrote {out / 'compare.csv'}")
@@ -237,7 +239,7 @@ _HANDLERS = {
     "compare": _cmd_compare,
 }
 
-_DATA_ERRORS = (MalformedRow, InvariantViolation, EmptySeries)
+_DATA_ERRORS = (MalformedRow, InvariantViolation, EmptySeries, NonPositiveValue)
 
 
 def _emit_error(kind: str, exc: Exception) -> None:

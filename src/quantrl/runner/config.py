@@ -17,7 +17,7 @@ from pathlib import Path
 
 from ..agents import Hyperparams
 from ..errors import SchemaError
-from ..indicators import IndicatorSpec, default_specs
+from ..indicators import KINDS, IndicatorSpec, default_specs
 from ..normalize import NormalizationKind
 from ..trading_env import EnvConfig, RewardKind
 
@@ -173,10 +173,11 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     per_family_raw = merged["normalization"]["per_family"]
     if not isinstance(per_family_raw, dict):
         raise SchemaError("normalization.per_family", "expected an object")
-    per_family = {
-        key: _parse_kind(value, f"normalization.per_family.{key}")
-        for key, value in per_family_raw.items()
-    }
+    per_family = {}
+    for key, value in per_family_raw.items():
+        if key not in KINDS:
+            raise SchemaError(f"normalization.per_family.{key}", f"unknown indicator kind {key!r}")
+        per_family[key] = _parse_kind(value, f"normalization.per_family.{key}")
 
     env_sec = merged["env"]
     try:

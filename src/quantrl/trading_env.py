@@ -19,16 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import (
-    NonPositiveEquity,
-    NonPositivePrice,
-    NonPositiveValue,
-    SeriesTooShort,
-    SteppedAfterDone,
-)
+from .errors import NonPositiveEquity, NonPositivePrice, SeriesTooShort, SteppedAfterDone
 from .indicators import FeatureMatrix
 from .market_data import OhlcvSeries
-from .normalize import NormalizationKind, NormalizationStats, apply_kind, fit
+from .normalize import NormalizationKind, NormalizationStats, normalize
 
 
 class Action(IntEnum):
@@ -191,8 +185,7 @@ class TradingEnv:
         self._last = len(series) - 1
         self._flagged = self.config.include_position_flag
         self._reward_kind = self.config.reward_kind
-        self._norm = self._normalized_features(stats)
-        self._windows = self._window_table()
+        self._windows = self._window_table(stats)
         self._blocks = self._windows.reshape(len(self._windows), self.config.window_size, features.width)
         self._cursor = self._start
         self._done = True
@@ -202,50 +195,15 @@ class TradingEnv:
         self._step_index = 0
         self.ledger = EpisodeLedger(initial_cash=self.config.initial_cash)
 
-    def _normalized_features(self, stats: list[NormalizationStats] | None) -> np.ndarray:
-        kind = self.config.normalization
-        raw = self.features.to_array()
-        defined = raw[self._warmup :]
-        if kind == NormalizationKind.WINDOW_LOG:
-            if stats is not None:
-                raise ValueError("WindowLog takes no frozen stats")
-            if np.any(defined <= 0.0):
-                row, col = map(int, np.argwhere(defined <= 0.0)[0])
-                raise NonPositiveValue(
-                    f"column {self.features.names[col]} row {row + self._warmup}: "
-                    "WindowLog needs strictly positive features"
-                )
-            return raw
-        out = np.full_like(raw, np.nan)
-        if kind == NormalizationKind.L2:
-            if stats is not None:
-                raise ValueError("L2 takes no frozen stats")
-            for j in range(raw.shape[1]):
-                column = defined[:, j]
-                norm = float(np.sqrt(np.sum(column * column)))
-                out[self._warmup :, j] = column / norm if norm > 0.0 else 0.0
-            return out
-        if stats is None:
-            stats = [fit(defined[:, j]) for j in range(raw.shape[1])]
-        if len(stats) != raw.shape[1]:
-            raise ValueError(f"{len(stats)} stats for {raw.shape[1]} columns")
-        for j, st in enumerate(stats):
-            out[self._warmup :, j] = apply_kind(kind, defined[:, j], st)
-        return out
-
-    def _window_table(self) -> np.ndarray:
+    def _window_table(self, stats: list[NormalizationStats] | None) -> np.ndarray:
         """Read-only table of every cursor's normalized window, flattened row-major,
-        one row per cursor from start_cursor to the last bar.
-
-        A window's rows are contiguous in ``_norm``, so the table is a view of it,
-        except for WindowLog, whose values depend on the window's first cell.
-        """
-        window = self.config.window_size
-        table = np.lib.stride_tricks.sliding_window_view(
-            self._norm[self._start - window + 1 :], (window, self.features.width)
-        )[:, 0].reshape(len(self.series) - self._start, -1)
-        if self.config.normalization == NormalizationKind.WINDOW_LOG:
-            table = np.log(table / table[:, :1]) * 10.0
+        one row per cursor from start_cursor to the last bar. Stats are fitted on
+        the defined rows unless frozen ``stats`` are given."""
+        windows = normalize(
+            self.config.normalization, self.features.to_array()[self._warmup :],
+            self.features.names, self._warmup, stats, self.config.window_size,
+        )
+        table = windows.reshape(len(windows), -1)
         table.flags.writeable = False
         return table
 
@@ -302,7 +260,7 @@ class TradingEnv:
         values = self._blocks[self._cursor - self._start]
         return ObservationWindow(values, float(self._position) if self._flagged else None)
 
-    def reset(self, seed: int | None = None) -> ObservationWindow:
+    def reset(self) -> ObservationWindow:
         self._cursor = self._start
         self._done = False
         self._position = Position.SHORT

@@ -454,3 +454,119 @@ def o_load_csv(path):
         if cur[0] == prev[0]:
             _o_reject("InvariantViolation", line_no, f"duplicate date {cur[0]}")
     return [bar for _, bar in rows]
+
+
+# --- feature normalization, one column at a time ------------------------------------
+# The env's and the correlation matrix's normalization as they were before one
+# dispatch served both: each column is fitted with 1-D reductions and scaled on
+# its own, L2 and WindowLog are handled inline, and no frozen stats are taken for
+# them. Kinds are the NormalizationKind values ("MinMax", "ZScore", "Sigmoid",
+# "L2", "WindowLog"). The package must equal these bodies bit for bit.
+
+
+def o_fit(values):
+    """(mean, std, min, max) of a 1-D column, population std."""
+    return float(values.mean()), float(values.std()), float(values.min()), float(values.max())
+
+
+def o_scale(kind, values, stats):
+    mean, std, lo, hi = stats
+    if kind == "MinMax":
+        return np.zeros_like(values) if hi - lo == 0.0 else (values - lo) / (hi - lo)
+    if kind == "ZScore":
+        return np.zeros_like(values) if std == 0.0 else (values - mean) / std
+    if kind == "Sigmoid":
+        if std == 0.0:
+            return np.full_like(values, 0.5)
+        z = np.clip((values - mean) / std, -700.0, 700.0)
+        return np.clip(1.0 / (1.0 + np.exp(-z)), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    raise ValueError(kind)
+
+
+def o_l2(values):
+    norm = float(np.sqrt(np.sum(values * values)))
+    return values / norm if norm > 0.0 else np.zeros_like(values)
+
+
+def o_window_log(window):
+    """log(s_ij / s_00) * 10, s_00 the window's first cell."""
+    return np.log(window / window.flat[0]) * 10.0
+
+
+def o_normalized_features(raw, warmup, kind, stats=None):
+    """The env's (n_bars, width) normalized features, NaN in warm-up rows; raw
+    features for WindowLog, which is applied per observation window. ``stats``
+    are (mean, std, min, max) tuples, for the three fitted kinds only."""
+    defined = raw[warmup:]
+    if kind == "WindowLog":
+        if np.any(defined <= 0.0):
+            raise ValueError("WindowLog needs strictly positive features")
+        return raw
+    out = np.full_like(raw, np.nan)
+    for j in range(raw.shape[1]):
+        column = defined[:, j]
+        if kind == "L2":
+            out[warmup:, j] = o_l2(column)
+        else:
+            out[warmup:, j] = o_scale(kind, column, o_fit(column) if stats is None else stats[j])
+    return out
+
+
+def o_observation_table(normalized, start, window, kind):
+    """One flattened window per cursor from ``start`` to the last bar."""
+    rows = [normalized[cursor - window + 1 : cursor + 1] for cursor in range(start, len(normalized))]
+    if kind == "WindowLog":
+        rows = [o_window_log(block) for block in rows]
+    return np.array([block.ravel() for block in rows])
+
+
+def o_corr_transform(common, kinds):
+    """The correlation matrix's per-column scaling of the commonly defined rows:
+    a raw-constant column is degenerate and zeroed; WindowLog anchors a column at
+    its first row. Returns (transformed, degenerate column indices in order)."""
+    transformed = np.empty_like(common)
+    degenerate = []
+    for j, kind in enumerate(kinds):
+        values = common[:, j]
+        if np.ptp(values) == 0.0:
+            degenerate.append(j)
+            transformed[:, j] = 0.0
+        elif kind == "WindowLog":
+            if np.any(values <= 0.0):
+                raise ValueError("WindowLog needs strictly positive features")
+            transformed[:, j] = o_window_log(values)
+        elif kind == "L2":
+            transformed[:, j] = o_l2(values)
+        else:
+            transformed[:, j] = o_scale(kind, values, o_fit(values))
+    return transformed, degenerate
+
+
+def o_corr_matrix(common, kinds):
+    """Pearson matrix of ``o_corr_transform``'s columns with the degenerate rules,
+    exact +-1 for identical or negated centred columns. Returns (matrix,
+    degenerate column indices in the order they were found)."""
+    transformed, degenerate = o_corr_transform(common, kinds)
+    k = common.shape[1]
+    live = [j for j in range(k) if j not in degenerate]
+    for j in live[:]:
+        if np.ptp(transformed[:, j]) == 0.0:
+            live.remove(j)
+            degenerate.append(j)
+    matrix = np.eye(k)
+    if len(live) >= 2:
+        sub = np.corrcoef(transformed[:, live], rowvar=False)
+        sub = np.clip((sub + sub.T) / 2.0, -1.0, 1.0)
+        np.fill_diagonal(sub, 1.0)
+        for a, ja in enumerate(live):
+            for b, jb in enumerate(live):
+                matrix[ja, jb] = sub[a, b]
+        for a, ja in enumerate(live):
+            za = transformed[:, ja] - transformed[:, ja].mean()
+            for jb in live[a + 1 :]:
+                zb = transformed[:, jb] - transformed[:, jb].mean()
+                if np.array_equal(za, zb):
+                    matrix[ja, jb] = matrix[jb, ja] = 1.0
+                elif np.array_equal(za, -zb):
+                    matrix[ja, jb] = matrix[jb, ja] = -1.0
+    return matrix, degenerate

@@ -136,7 +136,7 @@ def test_criterion_03_accounting_identity():
     rng = np.random.default_rng(314)
     worst = 0.0
     for _ in range(1000):
-        env.reset(0)
+        env.reset()
         total = 0.0
         done = False
         while not done:

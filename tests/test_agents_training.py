@@ -426,8 +426,8 @@ class RecordingEnv:
     def observation_index(self):
         return self.env.observation_index
 
-    def reset(self, seed=None):
-        window = self.env.reset(seed)
+    def reset(self):
+        window = self.env.reset()
         self.current = window.flatten()
         return window
 

@@ -388,6 +388,23 @@ def test_feature_matrix_csv_export(tmp_path, walk):
     assert first[1] == "" and first[2] == ""
 
 
+def test_feature_matrix_csv_bytes_equal_csv_writer(tmp_path, walk):
+    import csv
+
+    matrix = compute_feature_matrix(walk, [IndicatorSpec("SMA", 5, name='a, "b"'), IndicatorSpec("BOP"),
+                                           IndicatorSpec("ADX", 6)])
+    path = tmp_path / "features.csv"
+    matrix.to_csv(path, walk.dates())
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["Date"] + matrix.names)
+        for i, day in enumerate(walk.dates()):
+            writer.writerow([day.isoformat()] + ["" if i < c.warmup else repr(float(c.values[i])) for c in matrix.columns])
+    assert path.read_bytes() == expected.read_bytes()
+    assert path.read_bytes().startswith(b'Date,"a, ""b""",BOP,ADX_6\r\n')
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         IndicatorSpec("MACD", fast=26, slow=12)
@@ -411,3 +428,43 @@ def test_default_indicators_are_causal(walk, t):
     for head, whole in zip(prefix.columns, full.columns):
         assert head.warmup == whole.warmup, head.name
         assert head.values.tobytes() == whole.values[:t].tobytes(), head.name
+
+
+def test_every_kind_through_feature_matrix_equals_direct_call(walk):
+    """Each config kind, with non-default parameters, yields through
+    compute_feature_matrix exactly the column its indicator function returns."""
+    from quantrl.indicators import KINDS
+
+    o, h, lo, c, v = walk.opens(), walk.highs(), walk.lows(), walk.closes(), walk.volumes()
+    cases = [
+        (IndicatorSpec("SMA", 7), sma(c, 7)),
+        (IndicatorSpec("OBV"), obv(c, v)),
+        (IndicatorSpec("MOM", 4), mom(c, 4)),
+        (IndicatorSpec("STOCH_K", 9), stochastic(h, lo, c, 9, 3)[0]),
+        (IndicatorSpec("STOCH_D", 9, d_period=5), stochastic(h, lo, c, 9, 5)[1]),
+        (IndicatorSpec("STOCH_D", 6, d_period=2, name="slow d"), stochastic(h, lo, c, 6, 2, names=("x", "slow d"))[1]),
+        (IndicatorSpec("MACD", fast=5, slow=13, signal=4), macd(c, 5, 13, 4)[0]),
+        (IndicatorSpec("MACD_SIGNAL", fast=5, slow=13, signal=4), macd(c, 5, 13, 4)[1]),
+        (IndicatorSpec("CCI", 11), cci(h, lo, c, 11)),
+        (IndicatorSpec("ADX", 8), adx(h, lo, c, 8)),
+        (IndicatorSpec("TRIX", 6), trix(c, 6)),
+        (IndicatorSpec("ROC", 3), roc(c, 3)),
+        (IndicatorSpec("SAR", accel_start=0.01, accel_step=0.03, accel_max=0.15), sar(h, lo, c, 0.01, 0.03, 0.15)),
+        (IndicatorSpec("TEMA", 5), tema(c, 5)),
+        (IndicatorSpec("TRIMA", 8), trima(c, 8)),
+        (IndicatorSpec("WMA", 6), wma(c, 6)),
+        (IndicatorSpec("DEMA", 7), dema(c, 7)),
+        (IndicatorSpec("MFI", 10), mfi(h, lo, c, v, 10)),
+        (IndicatorSpec("CMO", 9), cmo(c, 9)),
+        (IndicatorSpec("STOCHRSI", 6), stochrsi(c, 6)),
+        (IndicatorSpec("UO", periods=(3, 8, 20)), uo(h, lo, c, (3, 8, 20))),
+        (IndicatorSpec("BOP"), bop(o, h, lo, c)),
+        (IndicatorSpec("ATR", 5), atr(h, lo, c, 5)),
+        (IndicatorSpec("RSI", 6, name="my, rsi"), rsi(c, 6, "my, rsi")),
+    ]
+    assert {spec.kind for spec, _ in cases} == set(KINDS)
+    matrix = compute_feature_matrix(walk, [spec for spec, _ in cases])
+    for (spec, expected), column in zip(cases, matrix.columns):
+        assert column.name == spec.column_name == expected.name
+        assert (column.warmup, column.kind) == (expected.warmup, expected.kind) == (column.warmup, spec.kind)
+        assert column.values.tobytes() == expected.values.tobytes(), spec

@@ -263,3 +263,115 @@ def test_correlation_matrix_validation():
         CorrelationMatrix(("a", "b"), np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError):
         CorrelationMatrix(("a",), np.array([[0.9]]))
+
+
+# --- one dispatch, bit-equal to the per-column reference ---------------------------
+
+
+def _pin_features(kind, series):
+    """Indicators over both signs plus a constant and an all-zero column; strictly
+    positive columns only for WindowLog."""
+    from quantrl import FeatureColumn, FeatureMatrix
+
+    specs = [IndicatorSpec("SMA", 3), IndicatorSpec("TEMA", 4), IndicatorSpec("ATR", 5), IndicatorSpec("SAR")]
+    if kind != NormalizationKind.WINDOW_LOG:
+        specs += [IndicatorSpec("MOM", 2), IndicatorSpec("MACD", fast=3, slow=7), IndicatorSpec("BOP")]
+    columns = list(compute_feature_matrix(series, specs).columns)
+    n = len(series)
+    columns.append(FeatureColumn("flat", np.r_[np.nan, np.nan, np.full(n - 2, 7.5)], 2, "RSI"))
+    if kind != NormalizationKind.WINDOW_LOG:
+        columns.append(FeatureColumn("zero", np.zeros(n), 0, "CMO"))
+    return FeatureMatrix(tuple(columns))
+
+
+def _expected_table(features, kind, window, flag, stats=None):
+    import oracles
+
+    raw = features.to_array()
+    normalized = oracles.o_normalized_features(raw, features.warmup, kind.value, stats)
+    windows = oracles.o_observation_table(normalized, features.warmup + window - 1, window, kind.value)
+    if not flag:
+        return windows
+    rows = np.empty((len(windows), 2, windows.shape[1] + 1))
+    rows[:, :, :-1] = windows[:, None]
+    rows[:, :, -1] = (0.0, 1.0)
+    return rows.reshape(2 * len(windows), -1)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("kind, frozen", [
+    *[(kind, False) for kind in NormalizationKind],
+    (NormalizationKind.MIN_MAX, True), (NormalizationKind.Z_SCORE, True), (NormalizationKind.SIGMOID, True),
+])
+def test_env_normalization_bit_equal_to_per_column_reference(kind, frozen, flag):
+    from quantrl import EnvConfig, OhlcvSeries, TradingEnv
+
+    series = random_walk_series(160, seed=21)
+    features = _pin_features(kind, series)
+    stats = None
+    if frozen:
+        head = _pin_features(kind, OhlcvSeries(series.symbol, series.bars[:90]))
+        stats = [fit(col.defined) for col in head.columns]
+    for window in (1, 4):
+        env = TradingEnv(series, features, EnvConfig(window_size=window, normalization=kind,
+                                                     include_position_flag=flag), stats=stats)
+        reference_stats = None if stats is None else [(s.mean, s.std, s.min, s.max) for s in stats]
+        expected = _expected_table(features, kind, window, flag, reference_stats)
+        table = env.observation_table()
+        assert table.shape == expected.shape
+        assert table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("base", list(NormalizationKind))
+def test_corr_bit_equal_to_per_column_reference(base):
+    """per_family overrides spanning all five kinds, with raw-constant columns
+    whose override (L2, WindowLog) must never see them."""
+    import oracles
+    from quantrl import FeatureColumn, FeatureMatrix
+
+    series = random_walk_series(300, seed=22)
+    positive = ["SMA", "TEMA", "ATR", "ADX", "SAR"]
+    mixed = ["MOM", "MACD", "CCI", "BOP", "OBV"]
+    specs = [IndicatorSpec(kind) for kind in positive + mixed] + [IndicatorSpec("SMA", 30, name="SMA_copy")]
+    columns = list(compute_feature_matrix(series, specs).columns)
+    columns.insert(3, FeatureColumn("flat", np.full(len(series), 2.0), 0, "RSI"))
+    columns.append(FeatureColumn("zero", np.zeros(len(series)), 0, "CMO"))
+    features = FeatureMatrix(tuple(columns))
+    kinds = list(NormalizationKind)
+    shift = kinds.index(base)
+    overrides = {name: kinds[(i + shift) % 5] for i, name in enumerate(positive)}
+    signed = [k for k in kinds if k != NormalizationKind.WINDOW_LOG]
+    overrides.update({name: signed[(i + shift) % 4] for i, name in enumerate(mixed)})
+    overrides.update({"RSI": NormalizationKind.WINDOW_LOG, "CMO": NormalizationKind.L2})
+    matrix = pearson_corr_matrix(features, base, overrides)
+    col_kinds = [overrides.get(col.kind, base).value for col in features.columns]
+    expected, degenerate = oracles.o_corr_matrix(features.to_array()[features.warmup :], col_kinds)
+    assert matrix.values.tobytes() == expected.tobytes()
+    assert matrix.degenerate == tuple(features.names[j] for j in degenerate) == ("flat", "zero")
+
+
+@pytest.mark.parametrize("kind", [NormalizationKind.L2, NormalizationKind.WINDOW_LOG])
+def test_env_takes_frozen_stats_for_l2_and_window_log(kind):
+    """L2 scales by the frozen column norm (a zero norm maps to 0); WindowLog is
+    stateless and ignores the stats."""
+    import oracles
+    from quantrl import EnvConfig, OhlcvSeries, TradingEnv
+
+    series = random_walk_series(160, seed=21)
+    features = _pin_features(kind, series)
+    head = _pin_features(kind, OhlcvSeries(series.symbol, series.bars[:90]))
+    stats = [fit(col.defined) for col in head.columns]
+    config = EnvConfig(window_size=4, normalization=kind, include_position_flag=False)
+    table = TradingEnv(series, features, config, stats=stats).observation_table()
+    fitted = TradingEnv(series, features, config).observation_table()
+    if kind == NormalizationKind.WINDOW_LOG:
+        assert table.tobytes() == fitted.tobytes()
+        return
+    assert [s.norm for s in stats] == [float(np.sqrt(np.sum(c.defined * c.defined))) for c in head.columns]
+    raw = features.to_array()
+    normalized = raw.copy()
+    for j, s in enumerate(stats):
+        normalized[features.warmup :, j] = raw[features.warmup :, j] / s.norm if s.norm > 0.0 else 0.0
+    expected = oracles.o_observation_table(normalized, features.warmup + 3, 4, "L2")
+    assert table.tobytes() == expected.tobytes()
+    assert not np.array_equal(table, fitted)

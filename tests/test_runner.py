@@ -1,11 +1,12 @@
 import json
+from datetime import date
 
 import numpy as np
 import pytest
 
 import quantrl.runner.manifest as manifest_module
 from conftest import random_walk_series
-from quantrl import NormalizationKind, RewardKind, save_csv
+from quantrl import IndicatorSpec, NormalizationKind, RewardKind, compute_feature_matrix, save_csv
 from quantrl.agents import TrainingLog, TrainingRecord
 from quantrl.atomic import atomic_open
 from quantrl.errors import SchemaError
@@ -90,6 +91,23 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
+def test_unknown_per_family_key_rejected(tmp_path, data_csv, capsys):
+    with pytest.raises(SchemaError) as err:
+        resolve_config({"normalization": {"per_family": {"NOPE": "ZScore", "RSI": "Sigmoid"}}})
+    assert err.value.key == "normalization.per_family.NOPE"
+    # keys are config indicator kinds, case included; EMA is a library function, not a kind
+    for key in ("rsi", "EMA"):
+        with pytest.raises(SchemaError):
+            resolve_config({"normalization": {"per_family": {key: "ZScore"}}})
+    assert resolve_config({"normalization": {"per_family": {"RSI": "Sigmoid"}}}).per_family == {
+        "RSI": NormalizationKind.SIGMOID}
+    cfg = write_config(tmp_path, data_csv, normalization={"per_family": {"NOPE": "ZScore"}})
+    assert cli(["corr", "--config", str(cfg)]) == EXIT_CONFIG
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (payload["error"], payload["type"]) == ("config", "SchemaError")
+    assert payload["message"].startswith("normalization.per_family.NOPE:")
+
+
 def test_nested_unknown_key_named(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"env": {"window": 5}}))
@@ -157,6 +175,22 @@ def test_cli_diverged_training_is_named(tmp_path, data_csv, capsys):
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "runtime"
     assert payload["type"] == "TrainingDiverged"
+
+
+@pytest.mark.parametrize("command, specs, column", [
+    ("train", None, "OBV"),
+    ("corr", [{"kind": "SMA", "period": 2}, {"kind": "MOM", "period": 1}], "MOM_1"),
+])
+def test_cli_window_log_on_nonpositive_feature_is_data_error(tmp_path, data_csv, capsys, command, specs, column):
+    cfg = write_config(tmp_path, data_csv, normalization={"kind": "WindowLog"},
+                       features={"specs": specs}, env={"window_size": 2})
+    assert cli([command, "--config", str(cfg)]) == EXIT_DATA
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["type"]) == ("data", "NonPositiveValue")
+    assert payload["message"].startswith(f"column {column} row ")
+    assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
 
 
 def test_cli_unknown_flag_rejected():
@@ -378,3 +412,23 @@ def test_training_log_failing_mid_file_leaves_previous_log(tmp_path):
         log.to_csv(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["training_log.csv"]
+
+
+class _FailingDate(date):
+    def isoformat(self):
+        raise OSError("device full")
+
+
+def test_features_csv_failing_mid_file_leaves_previous_file(tmp_path):
+    series = random_walk_series(30, seed=3)
+    matrix = compute_feature_matrix(series, [IndicatorSpec("SMA", 2)])
+    path = tmp_path / "features.csv"
+    matrix.to_csv(path, series.dates())
+    before = path.read_bytes()
+    dates = series.dates()
+    day = dates[20]
+    dates[20] = _FailingDate(day.year, day.month, day.day)
+    with pytest.raises(OSError, match="device full"):
+        matrix.to_csv(path, dates)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["features.csv"]

@@ -86,7 +86,7 @@ def test_env_config_validation():
 
 def test_reset_cursor_and_state():
     env = build_env(closes=np.linspace(100, 110, 30), window_size=5)
-    obs = env.reset(0)
+    obs = env.reset()
     assert env.start_cursor == 0 + 5 - 1
     assert obs.values.shape == (5, 1)
     assert obs.position_flag == 0.0
@@ -96,7 +96,7 @@ def test_reset_cursor_and_state():
 
 def test_reset_window_one_single_row():
     env = build_env(closes=np.linspace(100, 101, 5), window_size=1)
-    obs = env.reset(0)
+    obs = env.reset()
     assert obs.values.shape == (1, 1)
     assert env.start_cursor == 0
 
@@ -105,10 +105,10 @@ def test_reset_cursor_505_default_specs():
     series = random_walk_series(505, seed=11)
     features = compute_feature_matrix(series, default_specs())
     env = TradingEnv(series, features, EnvConfig(window_size=10))
-    env.reset(0)
+    env.reset()
     # first fully defined window ends at warm-up + window - 1
     assert env.start_cursor == features.warmup + 10 - 1
-    assert not np.isnan(env.reset(0).values).any()
+    assert not np.isnan(env.reset().values).any()
 
 
 def test_series_too_short():
@@ -120,7 +120,7 @@ def test_series_too_short():
 
 def test_step_long_reward_and_equity():
     env = build_env(closes=[100.0, 101.0], window_size=1)
-    env.reset(0)
+    env.reset()
     # Buy flips Short->Long at close 100, then the bar moves 100 -> 101
     result = env.step(Action.BUY)
     assert result.reward == pytest.approx(math.log(1.01), abs=1e-12)
@@ -131,20 +131,20 @@ def test_step_long_reward_and_equity():
 
 def test_step_flat_price_zero_reward():
     env = build_env(closes=[100.0, 100.0, 100.0], window_size=1)
-    env.reset(0)
+    env.reset()
     assert env.step(Action.SELL).reward == 0.0
 
 
 def test_flip_commission_on_flat_prices():
     env = build_env(closes=[100.0, 100.0, 100.0], window_size=1, commission=0.001)
-    env.reset(0)
+    env.reset()
     env.step(Action.BUY)
     assert env.equity == pytest.approx(10_000.0 * 0.999, abs=1e-9)
 
 
 def test_step_after_done():
     env = build_env(closes=[100.0, 101.0, 102.0], window_size=1)
-    env.reset(0)
+    env.reset()
     env.step(Action.BUY)
     result = env.step(Action.BUY)
     assert result.done
@@ -154,7 +154,7 @@ def test_step_after_done():
 
 def test_done_exactly_at_final_bar():
     env = build_env(closes=np.linspace(100, 105, 10), window_size=1)
-    env.reset(0)
+    env.reset()
     steps = 0
     done = False
     while not done:
@@ -166,7 +166,7 @@ def test_done_exactly_at_final_bar():
 
 def test_position_always_binary():
     env = build_env(closes=np.linspace(100, 110, 40), window_size=2)
-    env.reset(0)
+    env.reset()
     rng = np.random.default_rng(0)
     done = False
     while not done:
@@ -181,7 +181,7 @@ def test_accounting_identity_random_policies():
     env = TradingEnv(series, features, EnvConfig(window_size=3, commission=0.0))
     rng = np.random.default_rng(42)
     for _ in range(50):
-        env.reset(0)
+        env.reset()
         total = 0.0
         done = False
         while not done:
@@ -199,7 +199,7 @@ def test_flip_rewards_tie_to_equity():
     rng = np.random.default_rng(5)
     closes = series.closes()
     for _ in range(25):
-        env.reset(0)
+        env.reset()
         realized = 0.0
         last_flip_price = closes[env.start_cursor]
         last_flip_equity = 10_000.0
@@ -224,7 +224,7 @@ def test_terminal_reward_only_at_end():
     series = random_walk_series(30, seed=2)
     features = compute_feature_matrix(series, [IndicatorSpec("SMA", 1)])
     env = TradingEnv(series, features, EnvConfig(window_size=1, reward_kind=RewardKind.TERMINAL))
-    env.reset(0)
+    env.reset()
     rewards = []
     done = False
     rng = np.random.default_rng(3)
@@ -239,14 +239,14 @@ def test_terminal_reward_only_at_end():
 def test_monotone_series_long_short_mirror():
     closes = 100.0 * 1.01 ** np.arange(30)
     env = build_env(closes=closes, window_size=1)
-    env.reset(0)
+    env.reset()
     total_long = 0.0
     done = False
     while not done:
         result = env.step(Action.BUY)
         total_long += result.reward
         done = result.done
-    env.reset(0)
+    env.reset()
     total_short = 0.0
     done = False
     while not done:
@@ -264,7 +264,7 @@ def test_determinism_bit_identical_ledgers():
 
     def run():
         env = TradingEnv(series, features, EnvConfig(window_size=4))
-        env.reset(123)
+        env.reset()
         done = False
         for action in actions:
             result = env.step(int(action))
@@ -282,7 +282,7 @@ def test_observation_normalization_min_max_bounds():
     series = random_walk_series(60, seed=8)
     features = compute_feature_matrix(series, [IndicatorSpec("SMA", 2), IndicatorSpec("RSI", 5)])
     env = TradingEnv(series, features, EnvConfig(window_size=3))
-    obs = env.reset(0)
+    obs = env.reset()
     done = False
     while not done:
         assert (obs.values >= 0.0).all() and (obs.values <= 1.0).all()
@@ -294,7 +294,7 @@ def test_observation_normalization_min_max_bounds():
 def test_observation_window_log():
     closes = 100.0 * 1.01 ** np.arange(20)
     env = build_env(closes=closes, window_size=3, normalization=NormalizationKind.WINDOW_LOG)
-    obs = env.reset(0)
+    obs = env.reset()
     assert obs.values[0, 0] == 0.0
     expected = 10.0 * math.log(closes[1] / closes[0])
     assert obs.values[1, 0] == pytest.approx(expected, abs=1e-12)
@@ -323,13 +323,13 @@ def test_frozen_stats_reused_for_evaluation():
     eval_features = compute_feature_matrix(evaluation, spec)
     stats = [fit(col.defined) for col in train_features.columns]
     env = TradingEnv(evaluation, eval_features, EnvConfig(window_size=2), stats=stats)
-    obs = env.reset(0)
+    obs = env.reset()
     raw = eval_features.to_array()
     expected = min_max(raw[env.cursor, 0], stats[0])
     assert obs.values[-1, 0] == pytest.approx(expected, abs=1e-15)
     # frozen stats come from a different segment, so values may leave [0, 1]
     fresh = TradingEnv(evaluation, eval_features, EnvConfig(window_size=2))
-    assert not np.array_equal(fresh.reset(0).values, obs.values)
+    assert not np.array_equal(fresh.reset().values, obs.values)
 
 
 @pytest.mark.parametrize("flag", [True, False])
@@ -340,7 +340,8 @@ def test_frozen_stats_reused_for_evaluation():
     (NormalizationKind.Z_SCORE, True), (NormalizationKind.SIGMOID, True),
 ])
 def test_observation_table_rows_equal_observations(kind, frozen, flag):
-    from quantrl import OhlcvSeries, fit, window_log
+    import oracles
+    from quantrl import OhlcvSeries, fit
 
     series = random_walk_series(70, seed=12)
     # WindowLog needs strictly positive features
@@ -356,12 +357,13 @@ def test_observation_table_rows_equal_observations(kind, frozen, flag):
     env = TradingEnv(series, features, EnvConfig(window_size=window, normalization=kind,
                                                  include_position_flag=flag), stats=stats)
     table = env.observation_table()
+    reference_stats = None if stats is None else [(s.mean, s.std, s.min, s.max) for s in stats]
+    normalized = oracles.o_normalized_features(features.to_array(), features.warmup, kind.value, reference_stats)
+    windows = oracles.o_observation_table(normalized, env.start_cursor, window, kind.value)
 
     def reference(cursor, position):
-        block = env._norm[cursor - window + 1 : cursor + 1]
-        if kind == NormalizationKind.WINDOW_LOG:
-            block = window_log(block)
-        return np.append(block.ravel(), float(position)) if flag else block.ravel()
+        row = windows[cursor - env.start_cursor]
+        return np.append(row, float(position)) if flag else row
 
     cursors = range(env.start_cursor, len(series))
     assert table.shape == ((2 if flag else 1) * len(cursors), env.observation_size)
@@ -371,7 +373,7 @@ def test_observation_table_rows_equal_observations(kind, frozen, flag):
             assert np.array_equal(table[index], reference(cursor, position))
 
     actions = np.random.default_rng(4).integers(2, size=len(series))
-    obs = env.reset(0)
+    obs = env.reset()
     with pytest.raises(ValueError):
         obs.values[0, 0] = 0.0
     for action in actions:
@@ -403,18 +405,18 @@ def test_observation_rows_equal_table_slices(kind, flag):
 
 def test_position_flag_toggle():
     env = build_env(closes=np.linspace(100, 110, 20), window_size=2, include_position_flag=True)
-    obs = env.reset(0)
+    obs = env.reset()
     assert obs.position_flag == 0.0
     result = env.step(Action.BUY)
     assert result.observation.position_flag == 1.0
     env2 = build_env(closes=np.linspace(100, 110, 20), window_size=2, include_position_flag=False)
-    assert env2.reset(0).position_flag is None
+    assert env2.reset().position_flag is None
     assert env2.observation_size == 2
 
 
 def test_ledger_csv_export(tmp_path):
     env = build_env(closes=np.linspace(100, 110, 15), window_size=1)
-    env.reset(0)
+    env.reset()
     done = False
     while not done:
         done = env.step(Action.BUY).done
