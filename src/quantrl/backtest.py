@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .agents.common import RowBlocks
 from .agents.mlp import MlpPolicy, mlp_forward
 from .atomic import atomic_open
 from .errors import ShapeMismatch, TooFewSamples
@@ -76,9 +76,38 @@ def _gross(direction: Position, entry_px: float, exit_px: float) -> float:
     return exit_px / entry_px if direction is Position.LONG else entry_px / exit_px
 
 
+def greedy_path(env: TradingEnv, policy: MlpPolicy) -> list[int]:
+    """The actions (0 Sell, 1 Buy) a greedy episode takes from the env's
+    current state to the last bar, without stepping the env.
+
+    The frozen policy's greedy action (argmax, ties to Sell) is read once for
+    every ``observation_table()`` row the rest of the episode can reach,
+    ``BACKTEST_BLOCK_ROWS`` rows per forward pass. With the position flag on,
+    the visited rows then follow from a scan of the two-state automaton
+    ``position = actions[2 * t + position]``; with it off, the path is the
+    table itself.
+    """
+    per_cursor = 2 if env.config.include_position_flag else 1
+    first = (env.cursor - env.start_cursor) * per_cursor
+    rows = (len(env.series) - 1 - env.cursor) * per_cursor
+    table = np.empty(rows, dtype=np.intp)
+    for lo in range(0, rows, BACKTEST_BLOCK_ROWS):
+        hi = min(lo + BACKTEST_BLOCK_ROWS, rows)
+        table[lo:hi] = np.argmax(mlp_forward(policy, env.observation_rows(first + lo, first + hi)), axis=1)
+    actions = table.tolist()
+    if per_cursor == 1:
+        return actions
+    path, position = [], int(env.position)
+    for row in range(0, rows, 2):
+        position = actions[row + position]
+        path.append(position)
+    return path
+
+
 def run_policy(env: TradingEnv, policy: MlpPolicy):
-    """Run one greedy episode (argmax actions, ties to Sell). The policy is
-    evaluated over blocks of observation-table rows, not one row per bar.
+    """Run one greedy episode (argmax actions, ties to Sell) from reset to the
+    last bar: ``greedy_path`` reads the actions, ``env.replay`` writes the
+    ledger in closed form, bit-equal to stepping the env bar by bar.
 
     Returns (ledger, equity curve, trades). Consecutive flips pair into
     trades; a same-bar reversal produces no trade record (commission still
@@ -89,31 +118,26 @@ def run_policy(env: TradingEnv, policy: MlpPolicy):
         raise ShapeMismatch(
             f"policy input {policy.input_size} != observation size {env.observation_size}"
         )
+    path = greedy_path(env, policy)
+    env.replay(path)
+    closes = env.series.closes().tolist()
     commission = env.config.commission
-    closes = env.series.closes()
-    entry_idx = env.start_cursor
-    entry_px = float(closes[entry_idx])
-    direction = env.position
     trades: list[Trade] = []
-    actions = RowBlocks(env, lambda rows: np.argmax(mlp_forward(policy, rows), axis=1), BACKTEST_BLOCK_ROWS)
-    done = False
-    while not done:
-        flip_at = env.cursor
-        result = env.step(actions.current())
-        if result.info["trade_executed"]:
-            exit_px = float(closes[flip_at])
-            if flip_at > entry_idx:
-                ret = _gross(direction, entry_px, exit_px) * (1.0 - commission) - 1.0
-                trades.append(Trade(direction, entry_idx, entry_px, flip_at, exit_px, ret, ret > 0.0))
-            direction = env.position
-            entry_idx, entry_px = flip_at, exit_px
-        done = result.done
+    entry_idx, direction = env.start_cursor, Position.SHORT
+    for flip_at, side in enumerate(path, start=entry_idx):
+        if side == direction:
+            continue
+        if flip_at > entry_idx:
+            entry_px, exit_px = closes[entry_idx], closes[flip_at]
+            ret = _gross(direction, entry_px, exit_px) * (1.0 - commission) - 1.0
+            trades.append(Trade(direction, entry_idx, entry_px, flip_at, exit_px, ret, ret > 0.0))
+        direction, entry_idx = Position.LONG if side else Position.SHORT, flip_at
     last_idx = env.cursor
     if last_idx > entry_idx:
-        exit_px = float(closes[last_idx])
+        entry_px, exit_px = closes[entry_idx], closes[last_idx]
         ret = _gross(direction, entry_px, exit_px) - 1.0
         trades.append(Trade(direction, entry_idx, entry_px, last_idx, exit_px, ret, ret > 0.0))
-    curve = EquityCurve(np.concatenate([[env.config.initial_cash], env.ledger.equities()]))
+    curve = EquityCurve(np.array([env.config.initial_cash, *env.ledger.equity]))
     return env.ledger, curve, trades
 
 
@@ -237,6 +261,17 @@ def _equity_svg(curve: EquityCurve, trades: list[Trade], start_cursor: int,
     )
 
 
+def _trades_csv(trades: list[Trade]) -> str:
+    """trades.csv, formatted a column at a time with ``repr`` floats."""
+    def column(name):
+        return map(attrgetter(name), trades)
+
+    rows = zip(column("direction.name"), map(str, column("entry_idx")), map(repr, column("entry_px")),
+               map(str, column("exit_idx")), map(repr, column("exit_px")), map(repr, column("ret")),
+               map(str, map(int, column("win"))))
+    return "\n".join([TRADES_HEADER, *map(",".join, rows), ""])
+
+
 def render_report(report: PerformanceReport, ledger: EpisodeLedger, curve: EquityCurve,
                   trades: list[Trade], out_dir: str | Path, start_cursor: int = 0) -> dict[str, Path]:
     """Write report.json, equity.csv, trades.csv, ledger.csv and equity.svg."""
@@ -254,11 +289,7 @@ def render_report(report: PerformanceReport, ledger: EpisodeLedger, curve: Equit
     with atomic_open(paths["equity"]) as handle:
         handle.write("".join(["step,equity\n", *map("{},{!r}\n".format, range(len(curve)), curve.values.tolist())]))
     with atomic_open(paths["trades"]) as handle:
-        handle.write(TRADES_HEADER + "\n")
-        for t in trades:
-            handle.write(
-                f"{t.direction.name},{t.entry_idx},{t.entry_px!r},{t.exit_idx},{t.exit_px!r},{t.ret!r},{int(t.win)}\n"
-            )
+        handle.write(_trades_csv(trades))
     ledger.to_csv(paths["ledger"])
     with atomic_open(paths["svg"]) as handle:
         handle.write(_equity_svg(curve, trades, start_cursor))

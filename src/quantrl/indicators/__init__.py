@@ -79,8 +79,9 @@ class IndicatorSpec:
     """Parameters for one indicator column.
 
     ``period`` defaults per kind (DEFAULT_PERIODS). MACD uses fast/slow/signal,
-    STOCH_D adds d_period, UO uses three strictly increasing periods, SAR uses
-    the acceleration start/step/max triple.
+    STOCH_K and STOCH_D add d_period (both come from one ``stochastic`` call),
+    UO uses three strictly increasing periods, SAR uses the acceleration
+    start/step/max triple.
     """
 
     kind: str
@@ -107,8 +108,8 @@ class IndicatorSpec:
                 raise ValueError(f"{self.kind}: periods must be >= 1")
             if self.fast >= self.slow:
                 raise ValueError(f"{self.kind}: fast {self.fast} must be < slow {self.slow}")
-        if self.kind == "STOCH_D" and self.d_period < 1:
-            raise ValueError(f"STOCH_D: d_period must be >= 1, got {self.d_period}")
+        if self.kind in ("STOCH_K", "STOCH_D") and self.d_period < 1:
+            raise ValueError(f"{self.kind}: d_period must be >= 1, got {self.d_period}")
         if self.kind == "UO":
             p1, p2, p3 = self.periods
             if not (1 <= p1 < p2 < p3):

@@ -19,7 +19,10 @@ from .. import __version__
 from ..agents import a2c_train, dqn_train, load_policy, ppo_train, save_policy
 from ..atomic import atomic_open
 from ..backtest import compute_report, render_report, run_policy
-from ..errors import EmptySeries, InvariantViolation, MalformedRow, NonPositiveValue, QuantrlError, SchemaError
+from ..errors import (
+    EmptySeries, InvariantViolation, MalformedRow, NonPositiveValue, PeriodTooLong, QuantrlError, SchemaError,
+    SeriesTooShort,
+)
 from ..indicators import compute_feature_matrix
 from ..market_data import load_csv, save_csv, slice_by_date
 from ..normalize import pearson_corr_matrix, select_uncorrelated
@@ -239,7 +242,7 @@ _HANDLERS = {
     "compare": _cmd_compare,
 }
 
-_DATA_ERRORS = (MalformedRow, InvariantViolation, EmptySeries, NonPositiveValue)
+_DATA_ERRORS = (MalformedRow, InvariantViolation, EmptySeries, NonPositiveValue, PeriodTooLong, SeriesTooShort)
 
 
 def _emit_error(kind: str, exc: Exception) -> None:

@@ -11,7 +11,7 @@ return realized on flips, and a single terminal equity log ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
 from typing import NamedTuple
@@ -35,8 +35,9 @@ class Position(IntEnum):
     LONG = 1
 
 
-# TradingEnv.step's lookups: the member for each action value, and the side an
-# action leaves the agent on (always in the market, so Buy ends Long, Sell Short).
+# The member for each action value, and the side an action leaves the agent on
+# (always in the market, so Buy ends Long, Sell Short); the values line up, so
+# the second is also the member for each position value.
 _ACTIONS = {int(a): a for a in Action}
 _SIDE_AFTER = (Position.SHORT, Position.LONG)
 
@@ -102,28 +103,60 @@ class LedgerRecord(NamedTuple):
     equity: float
 
 
-@dataclass
 class EpisodeLedger:
-    initial_cash: float
-    records: list[LedgerRecord] = field(default_factory=list)
+    """One episode as columns, one entry per step: the action taken (0/1), the
+    position it left (0/1), the close it was marked at, the reward and the
+    equity after it. Steps are numbered from 1. ``TradingEnv.step`` appends one
+    row, ``TradingEnv.replay`` extends every column at once; ``records``
+    builds the rows as ``LedgerRecord``s on access."""
 
-    def append(self, record: LedgerRecord) -> None:
-        if record.equity <= 0.0:
-            raise NonPositiveEquity(f"step {record.step}: equity {record.equity}")
-        self.records.append(record)
+    def __init__(self, initial_cash: float):
+        self.initial_cash = initial_cash
+        self.actions: list[int] = []
+        self.positions: list[int] = []
+        self.prices: list[float] = []
+        self.rewards: list[float] = []
+        self.equity: list[float] = []
+
+    def append(self, action: int, position: int, price: float, reward: float, equity: float) -> None:
+        if equity <= 0.0:
+            raise NonPositiveEquity(f"step {len(self.equity) + 1}: equity {equity}")
+        self.actions.append(action)
+        self.positions.append(position)
+        self.prices.append(price)
+        self.rewards.append(reward)
+        self.equity.append(equity)
+
+    def extend(self, actions: list[int], positions: list[int], prices: list[float],
+               rewards: list[float], equity: list[float]) -> None:
+        """Append several steps; all columns have the same length."""
+        if equity and min(equity) <= 0.0:
+            bad = next(k for k, value in enumerate(equity) if value <= 0.0)
+            raise NonPositiveEquity(f"step {len(self.equity) + bad + 1}: equity {equity[bad]}")
+        self.actions += actions
+        self.positions += positions
+        self.prices += prices
+        self.rewards += rewards
+        self.equity += equity
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.equity)
+
+    @property
+    def records(self) -> list[LedgerRecord]:
+        return list(map(LedgerRecord, range(1, len(self) + 1), map(_ACTIONS.__getitem__, self.actions),
+                        map(_SIDE_AFTER.__getitem__, self.positions), self.prices, self.rewards, self.equity))
 
     def equities(self) -> np.ndarray:
-        return np.array([r.equity for r in self.records], dtype=float)
+        return np.array(self.equity, dtype=float)
 
     def to_csv(self, path: str | Path) -> None:
         """CSV with ``\\r\\n`` line ends and ``repr`` floats."""
-        lines = [f"{r.step},{int(r.action)},{int(r.position)},{r.price!r},{r.reward!r},{r.equity!r}\r\n"
-                 for r in self.records]
+        rows = map(",".join, zip(map(str, range(1, len(self) + 1)), map(str, self.actions),
+                                 map(str, self.positions), map(repr, self.prices),
+                                 map(repr, self.rewards), map(repr, self.equity)))
         with atomic_open(path, newline="") as handle:
-            handle.write("".join(["step,action,position,price,reward,equity\r\n", *lines]))
+            handle.write("\r\n".join(["step,action,position,price,reward,equity", *rows, ""]))
 
 
 def reward_immediate(position: Position, p_prev: float, p_curr: float) -> float:
@@ -192,7 +225,6 @@ class TradingEnv:
         self._position = Position.SHORT
         self._equity = self.config.initial_cash
         self._last_trade_price = self._closes[self._start]
-        self._step_index = 0
         self.ledger = EpisodeLedger(initial_cash=self.config.initial_cash)
 
     def _window_table(self, stats: list[NormalizationStats] | None) -> np.ndarray:
@@ -266,7 +298,6 @@ class TradingEnv:
         self._position = Position.SHORT
         self._equity = self.config.initial_cash
         self._last_trade_price = float(self._closes[self._start])
-        self._step_index = 0
         self.ledger = EpisodeLedger(initial_cash=self.config.initial_cash)
         return self._observe()
 
@@ -300,8 +331,7 @@ class TradingEnv:
             reward = flip_reward
         else:
             reward = reward_terminal(self._done, self.config.initial_cash, self._equity)
-        self._step_index += 1
-        self.ledger.append(LedgerRecord(self._step_index, action, position, price_next, reward, self._equity))
+        self.ledger.append(int(action), int(position), price_next, reward, self._equity)
         info = {
             "equity": self._equity,
             "position": position,
@@ -309,3 +339,54 @@ class TradingEnv:
             "trade_executed": flipped,
         }
         return StepResult(self._observe(), reward, self._done, info)
+
+    def replay(self, path) -> None:
+        """Take the actions in ``path`` (0 Sell, 1 Buy) as that many ``step``
+        calls would, without observations: the ledger rows are computed in closed
+        form, and the ledger and the env's state afterwards are bit-equal to
+        stepping. Equity is one running product of the same factors ``step``
+        multiplies by, in the same order (1.0 stands for "no commission"), and
+        rewards go through the same ``math.log`` calls. Raises before changing
+        anything when ``path`` holds another value or outruns the episode."""
+        path = np.asarray(path)
+        if path.ndim != 1 or not ((path == 0) | (path == 1)).all():
+            raise ValueError("a replayed path is a 1-D sequence of actions 0 and 1")
+        n = len(path)
+        if n == 0:
+            return
+        if self._done or n > self._last - self._cursor:
+            raise SteppedAfterDone(f"{n} actions from cursor {self._cursor}, the episode ends at {self._last}")
+        sides = path.astype(np.intp).tolist()
+        long = path == 1
+        flipped = np.empty(n, dtype=bool)
+        flipped[0] = sides[0] != self._position
+        np.not_equal(long[1:], long[:-1], out=flipped[1:])
+        closes = self._closes[self._cursor : self._cursor + n + 1]
+        now, nxt = closes[:-1], closes[1:]
+        factors = np.empty(2 * n + 1)
+        factors[0] = self._equity
+        factors[1::2] = np.where(flipped, 1.0 - self.config.commission, 1.0)
+        factors[2::2] = np.where(long, nxt / now, now / nxt)
+        equity = np.multiply.accumulate(factors)[2::2].tolist()
+        flips = np.flatnonzero(flipped).tolist()
+        flip_prices = now[flips].tolist()
+        done = self._cursor + n == self._last
+        kind = self._reward_kind
+        if kind == RewardKind.IMMEDIATE:
+            rewards = [r if side else -r for r, side in zip(map(math.log, (nxt / now).tolist()), sides)]
+        else:
+            rewards = [0.0] * n
+            if kind == RewardKind.ON_FLIP:
+                last_price = self._last_trade_price
+                for t, price in zip(flips, flip_prices):
+                    rewards[t] = reward_on_flip(True, _SIDE_AFTER[1 - sides[t]], last_price, price)
+                    last_price = price
+            elif done:
+                rewards[-1] = reward_terminal(True, self.config.initial_cash, equity[-1])
+        self.ledger.extend(sides, sides, nxt.tolist(), rewards, equity)
+        self._cursor += n
+        self._done = done
+        self._position = _SIDE_AFTER[sides[-1]]
+        self._equity = equity[-1]
+        if flips:
+            self._last_trade_price = flip_prices[-1]

@@ -2,7 +2,8 @@
 
 Everything here is written directly from the defining formulas with plain
 Python loops and window recomputation - no shared code with the package
-and no incremental shortcuts beyond the definitions themselves.
+and no incremental shortcuts beyond the definitions themselves. The one
+exception is ``o_run_policy``, which drives the package's env bar by bar.
 """
 
 import csv
@@ -570,3 +571,57 @@ def o_corr_matrix(common, kinds):
                 elif np.array_equal(za, -zb):
                     matrix[ja, jb] = matrix[jb, ja] = -1.0
     return matrix, degenerate
+
+
+# --- the per-bar greedy backtest ---------------------------------------------------
+# run_policy's body from before action tables and TradingEnv.replay: one env.step,
+# one ledger row and one format per bar. It drives the package's env, since
+# TradingEnv.step stays the reference that replay must equal bit for bit.
+
+
+def o_run_policy(env, policy):
+    from quantrl.agents.common import RowBlocks
+    from quantrl.agents.mlp import mlp_forward
+    from quantrl.backtest import BACKTEST_BLOCK_ROWS, EquityCurve, Trade, _gross
+
+    env.reset()
+    commission = env.config.commission
+    closes = env.series.closes()
+    entry_idx = env.start_cursor
+    entry_px = float(closes[entry_idx])
+    direction = env.position
+    trades = []
+    actions = RowBlocks(env, lambda rows: np.argmax(mlp_forward(policy, rows), axis=1), BACKTEST_BLOCK_ROWS)
+    done = False
+    while not done:
+        flip_at = env.cursor
+        result = env.step(actions.current())
+        if result.info["trade_executed"]:
+            exit_px = float(closes[flip_at])
+            if flip_at > entry_idx:
+                ret = _gross(direction, entry_px, exit_px) * (1.0 - commission) - 1.0
+                trades.append(Trade(direction, entry_idx, entry_px, flip_at, exit_px, ret, ret > 0.0))
+            direction = env.position
+            entry_idx, entry_px = flip_at, exit_px
+        done = result.done
+    last_idx = env.cursor
+    if last_idx > entry_idx:
+        exit_px = float(closes[last_idx])
+        ret = _gross(direction, entry_px, exit_px) - 1.0
+        trades.append(Trade(direction, entry_idx, entry_px, last_idx, exit_px, ret, ret > 0.0))
+    curve = EquityCurve(np.concatenate([[env.config.initial_cash], env.ledger.equities()]))
+    return env.ledger, curve, trades
+
+
+def o_ledger_csv(records):
+    """ledger.csv as it was written, one f-string per record."""
+    lines = [f"{r.step},{int(r.action)},{int(r.position)},{r.price!r},{r.reward!r},{r.equity!r}\r\n"
+             for r in records]
+    return "".join(["step,action,position,price,reward,equity\r\n", *lines])
+
+
+def o_trades_csv(trades):
+    """trades.csv as it was written, one f-string per trade."""
+    lines = [f"{t.direction.name},{t.entry_idx},{t.entry_px!r},{t.exit_idx},{t.exit_px!r},{t.ret!r},{int(t.win)}\n"
+             for t in trades]
+    return "".join(["direction,entry_idx,entry_px,exit_idx,exit_px,ret,win\n", *lines])

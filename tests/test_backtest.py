@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -12,6 +13,7 @@ from quantrl import (
     IndicatorSpec,
     MlpPolicy,
     Position,
+    RewardKind,
     TradingEnv,
     annualize,
     calmar,
@@ -24,6 +26,7 @@ from quantrl import (
     sortino,
     win_rate,
 )
+import quantrl.backtest as backtest_module
 from quantrl.agents import init_mlp, mlp_forward
 from quantrl.backtest import BACKTEST_BLOCK_ROWS, PerformanceReport, Trade
 from quantrl.errors import TooFewSamples
@@ -304,3 +307,72 @@ def test_render_report_bytes_equal_row_wise_formatting(tmp_path, n, seed):
     expected = _row_wise_bundle(ledger, curve, trades, env.start_cursor)
     for name, data in expected.items():
         assert paths[name].read_bytes() == data, name
+
+
+@functools.cache
+def _grid_data():
+    series = random_walk_series(600, seed=8)
+    return series, compute_feature_matrix(series, [IndicatorSpec("SMA", 2), IndicatorSpec("RSI", 5)])
+
+
+def _grid_env(reward_kind, commission, flag) -> TradingEnv:
+    series, features = _grid_data()
+    config = EnvConfig(window_size=3, commission=commission, reward_kind=reward_kind, include_position_flag=flag)
+    return TradingEnv(series, features, config)
+
+
+def _grid_policy(net, obs_size) -> MlpPolicy:
+    """A seeded 2-hidden-layer net with unit-normal parameters, or the all-zero tie net."""
+    if net == "zero":
+        return zero_policy(obs_size)
+    rng = np.random.default_rng(int(net[-1]))
+    policy = init_mlp([obs_size, 16, 16, 2], rng)
+    policy.flat[:] = rng.normal(0.0, 1.0, policy.flat.size)
+    return policy
+
+
+@pytest.mark.parametrize("net", ["seeded0", "seeded2", "zero"])
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("commission", [0.0, 0.002])
+@pytest.mark.parametrize("reward_kind", list(RewardKind))
+def test_run_policy_bit_equal_to_per_bar_backtest(tmp_path, reward_kind, commission, flag, net):
+    env = _grid_env(reward_kind, commission, flag)
+    policy = _grid_policy(net, env.observation_size)
+    ledger, curve, trades = run_policy(env, policy)
+    assert len(ledger) > 2 * BACKTEST_BLOCK_ROWS
+    reference = _grid_env(reward_kind, commission, flag)
+    o_ledger, o_curve, o_trades = oracles.o_run_policy(reference, policy)
+    assert list(map(repr, ledger.records)) == list(map(repr, o_ledger.records))
+    assert curve.values.tobytes() == o_curve.values.tobytes()
+    assert list(map(repr, trades)) == list(map(repr, o_trades))
+    assert (env.cursor, env.done, env.position, repr(env.equity)) == (
+        reference.cursor, reference.done, reference.position, repr(reference.equity))
+    paths = render_report(compute_report(curve, trades), ledger, curve, trades, tmp_path / "new", env.start_cursor)
+    o_paths = render_report(compute_report(o_curve, o_trades), o_ledger, o_curve, o_trades, tmp_path / "ref",
+                            reference.start_cursor)
+    for name, path in paths.items():
+        assert path.read_bytes() == o_paths[name].read_bytes(), name
+    assert paths["ledger"].read_bytes() == oracles.o_ledger_csv(o_ledger.records).encode()
+    assert paths["trades"].read_bytes() == oracles.o_trades_csv(o_trades).encode()
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_run_policy_never_steps_and_forwards_once_per_block(monkeypatch, flag):
+    env = _grid_env(RewardKind.IMMEDIATE, 0.001, flag)
+    policy = _grid_policy("seeded0", env.observation_size)
+    calls = {"step": 0, "forward": 0}
+    step, forward = TradingEnv.step, backtest_module.mlp_forward
+
+    def counting_step(self, action):
+        calls["step"] += 1
+        return step(self, action)
+
+    def counting_forward(policy, x):
+        calls["forward"] += 1
+        return forward(policy, x)
+
+    monkeypatch.setattr(TradingEnv, "step", counting_step)
+    monkeypatch.setattr(backtest_module, "mlp_forward", counting_forward)
+    ledger, _, _ = run_policy(env, policy)
+    rows = len(ledger) * (2 if flag else 1)
+    assert calls == {"step": 0, "forward": math.ceil(rows / BACKTEST_BLOCK_ROWS)}

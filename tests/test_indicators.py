@@ -414,6 +414,9 @@ def test_spec_validation():
         IndicatorSpec("SMA", 0)
     with pytest.raises(ValueError):
         IndicatorSpec("NOPE")
+    for kind in ("STOCH_K", "STOCH_D"):
+        with pytest.raises(ValueError, match=f"^{kind}: d_period"):
+            IndicatorSpec(kind, d_period=0)
     assert IndicatorSpec("RSI").period == 14
 
 

@@ -193,6 +193,27 @@ def test_cli_window_log_on_nonpositive_feature_is_data_error(tmp_path, data_csv,
     assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
 
 
+@pytest.mark.parametrize("command, overrides, error", [
+    ("features", {"features": {"specs": [{"kind": "SMA", "period": 80}]}}, "PeriodTooLong"),
+    ("train", {"env": {"window_size": 58}}, "SeriesTooShort"),
+])
+def test_cli_data_too_short_is_data_error(tmp_path, capsys, command, overrides, error):
+    path = tmp_path / "short.csv"
+    save_csv(random_walk_series(60, seed=17), path)
+    cfg = write_config(tmp_path, path, **overrides)
+    assert cli([command, "--config", str(cfg)]) == EXIT_DATA
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["type"] == error
+
+
+def test_cli_stoch_k_d_period_is_config_error(tmp_path, data_csv, capsys):
+    cfg = write_config(tmp_path, data_csv, features={"specs": [{"kind": "STOCH_K", "d_period": 0}]})
+    assert cli(["features", "--config", str(cfg)]) == EXIT_CONFIG
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["message"] == "features.specs[0]: STOCH_K: d_period must be >= 1, got 0"
+
+
 def test_cli_unknown_flag_rejected():
     assert cli(["train", "--config", "x.json", "--bogus"]) == EXIT_CONFIG
 

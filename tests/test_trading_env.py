@@ -425,3 +425,67 @@ def test_ledger_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,action,position,price,reward,equity"
     assert len(lines) == len(env.ledger) + 1
+
+
+# --- replay ---------------------------------------------------------------------
+
+
+def _state(env):
+    """Everything a later step depends on, floats as bit patterns."""
+    return (env.cursor, env.done, env.position, np.float64(env.equity).tobytes(), len(env.ledger))
+
+
+def _ledger_columns(ledger):
+    return (ledger.actions, ledger.positions, list(map(repr, ledger.prices)),
+            list(map(repr, ledger.rewards)), list(map(repr, ledger.equity)), list(map(repr, ledger.records)))
+
+
+@pytest.mark.parametrize("flip_prob", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("commission", [0.0, 0.002])
+@pytest.mark.parametrize("reward_kind", list(RewardKind))
+def test_replay_bit_equal_to_step(reward_kind, commission, flip_prob):
+    series = random_walk_series(120, seed=41)
+    features = compute_feature_matrix(series, [IndicatorSpec("SMA", 2), IndicatorSpec("RSI", 5)])
+    config = EnvConfig(window_size=3, commission=commission, reward_kind=reward_kind)
+    rng = np.random.default_rng(int(flip_prob * 100))
+    for trial in range(4):
+        stepped, replayed = TradingEnv(series, features, config), TradingEnv(series, features, config)
+        stepped.reset(), replayed.reset()
+        n = len(series) - 1 - stepped.start_cursor
+        flips = rng.random(n) < flip_prob
+        path = (np.cumsum(flips) % 2).tolist()
+        # trial 0 replays the whole episode at once; the others alternate between
+        # replayed and stepped stretches, so each side continues from the other's state
+        cuts = [0, n] if trial == 0 else [0, *sorted(rng.choice(np.arange(1, n), 4, replace=False).tolist()), n]
+        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            for action in path[lo:hi]:
+                stepped.step(action)
+            if k % 2 == 0:
+                replayed.replay(path[lo:hi])
+            else:
+                for action in path[lo:hi]:
+                    replayed.step(action)
+            assert _state(replayed) == _state(stepped)
+        assert replayed.done
+        assert _ledger_columns(replayed.ledger) == _ledger_columns(stepped.ledger)
+
+
+def test_replay_rejects_bad_paths_without_changing_state():
+    env = build_env(closes=np.linspace(100.0, 120.0, 20), window_size=2, reward_kind=RewardKind.ON_FLIP)
+    env.reset()
+    env.step(Action.BUY)
+    left = len(env.series) - 1 - env.cursor
+    before = _state(env)
+    with pytest.raises(ValueError):
+        env.replay([0, 2])
+    with pytest.raises(ValueError):
+        env.replay([[0, 1]])
+    with pytest.raises(SteppedAfterDone):
+        env.replay([0] * (left + 1))
+    assert _state(env) == before
+    env.replay([])
+    assert _state(env) == before
+    env.replay([0] * left)
+    assert env.done and env.position is Position.SHORT
+    with pytest.raises(SteppedAfterDone):
+        env.replay([1])
