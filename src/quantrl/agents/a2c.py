@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TrainingDiverged
-from ..trading_env import ObservationWindow
 from .common import Hyperparams, RowBlocks, TrainingLog, TrainingRecord
 from .losses import policy_gradient_loss, value_loss
 from .mlp import MlpPolicy, Workspace, init_mlp, mlp_forward, softmax, softmax_pair
@@ -67,38 +66,24 @@ def sell_thresholds(actor: MlpPolicy, rows: np.ndarray) -> np.ndarray:
 
 
 class _Rollout:
-    """n_steps transitions, written in place. ``observations`` holds the
-    observation of each step and, in its last row, the one after the rollout;
-    ``states`` views the first n_steps rows."""
+    """n_steps transitions. ``rows`` holds the observation-table row of each
+    step and, last, of the observation after the rollout; when the rollout is
+    full, ``states`` is set to the steps' observations, gathered at once."""
 
-    def __init__(self, n_steps: int, obs_size: int):
-        self.observations = np.zeros((n_steps + 1, obs_size))
-        self.states = self.observations[:n_steps]
-        self._rows = list(self.observations)
+    def __init__(self, n_steps: int):
+        self.rows = np.zeros(n_steps + 1, dtype=np.intp)
         self.actions = np.zeros(n_steps, dtype=np.int64)
         self.rewards = np.zeros(n_steps)
         self.dones = np.zeros(n_steps, dtype=bool)
+        self.states = None
         self.fill = 0
 
-    def observe(self, window: ObservationWindow) -> np.ndarray:
-        """Write the observation of the next step into its row; returns the row."""
-        return window.flatten(self._rows[self.fill])
-
-    def add(self, action, reward, done) -> None:
+    def add(self, action, reward, done, next_row: int) -> None:
         self.actions[self.fill] = action
         self.rewards[self.fill] = reward
         self.dones[self.fill] = done
         self.fill += 1
-
-    @property
-    def full(self) -> bool:
-        return self.fill == len(self.states)
-
-    def clear(self) -> np.ndarray:
-        """Start the next rollout from the observation after this one; returns its row."""
-        self.observations[0] = self.observations[-1]
-        self.fill = 0
-        return self._rows[0]
+        self.rows[self.fill] = next_row
 
 
 def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
@@ -122,10 +107,11 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
     rows = hp.n_steps if batch_rows is None else batch_rows
     actor_learner, critic_learner = Learner(actor, hp, rows), Learner(critic, hp, rows)
     log = TrainingLog()
-    rollout = _Rollout(hp.n_steps, env.observation_size)
+    rollout = _Rollout(hp.n_steps)
     rows_per_cursor = 2 if env.config.include_position_flag else 1
     thresholds = RowBlocks(env, lambda rows: sell_thresholds(actor, rows), (hp.n_steps + 1) * rows_per_cursor)
-    obs = rollout.observe(env.reset())
+    env.reset()
+    rollout.rows[0] = env.observation_index
     episode_return = 0.0
     last_loss = float("nan")
     steps = 0
@@ -135,21 +121,22 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
             raise TrainingDiverged(steps + 1, float("nan"))
         action = int(rng.random() >= threshold)
         result = env.step(action)
-        rollout.add(action, result.reward, result.done)
         episode_return += result.reward
         steps += 1
-        window = result.observation
         if result.done:
             log.append(TrainingRecord(steps, episode_return, last_loss))
             episode_return = 0.0
-            window = env.reset()
-        obs = rollout.observe(window)
-        if rollout.full:
-            last_loss = update(nets, actor_learner, critic_learner, rollout, obs, rng)
+            env.reset()
+        rollout.add(action, result.reward, result.done, env.observation_index)
+        if rollout.fill == hp.n_steps:
+            observations = env.observations(rollout.rows)
+            rollout.states = observations[:-1]
+            last_loss = update(nets, actor_learner, critic_learner, rollout, observations[-1], rng)
             if not math.isfinite(last_loss):
                 raise TrainingDiverged(steps, last_loss)
             thresholds.invalidate()
-            obs = rollout.clear()
+            rollout.rows[0] = rollout.rows[-1]
+            rollout.fill = 0
     return nets, log
 
 

@@ -63,8 +63,8 @@ class Hyperparams:
             raise ValueError("gae_lambda must be in [0, 1]")
         if self.n_epochs < 1:
             raise ValueError("n_epochs must be >= 1")
-        if not self.hidden_sizes or not all(isinstance(h, int) and h >= 1 for h in self.hidden_sizes):
-            raise ValueError(f"hidden_sizes must be a non-empty list of positive integers, got {self.hidden_sizes!r}")
+        if not self.hidden_sizes or not all(type(h) is int and 1 <= h <= 4096 for h in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be non-empty ints in [1, 4096], got {self.hidden_sizes!r:.60}")
 
 
 def linear_epsilon(step: int, total_timesteps: int, initial: float = 1.0,
@@ -127,12 +127,12 @@ class RowBlocks:
 
 @dataclass(frozen=True)
 class Transition:
-    """One env step; a state is an observation vector or an observation index."""
+    """One env step; a state is a row of the env's observation table."""
 
-    state: np.ndarray | int
+    state: int
     action: int
     reward: float
-    next_state: np.ndarray | int
+    next_state: int
     done: bool
 
 

@@ -23,8 +23,7 @@ class ReplayBuffer:
     """Ring buffer of transitions; the oldest entry is evicted at capacity.
 
     Sampling is uniform with replacement from the stored transitions,
-    driven by the caller's generator. States keep the dtype and shape of
-    the first pushed state: float vectors, or integer observation indices.
+    driven by the caller's generator. States are observation-table rows.
     """
 
     def __init__(self, capacity: int):
@@ -32,22 +31,18 @@ class ReplayBuffer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.insertions = 0
-        self._states: np.ndarray | None = None
+        self._states = np.zeros(capacity, dtype=np.intp)
         self._actions = np.zeros(capacity, dtype=np.int64)
         self._rewards = np.zeros(capacity, dtype=float)
-        self._next_states: np.ndarray | None = None
+        self._next_states = np.zeros(capacity, dtype=np.intp)
         self._dones = np.zeros(capacity, dtype=bool)
 
     def __len__(self) -> int:
         return min(self.insertions, self.capacity)
 
     def push(self, transition: Transition) -> None:
-        state = np.asarray(transition.state)
-        if self._states is None:
-            self._states = np.zeros((self.capacity, *state.shape), dtype=state.dtype)
-            self._next_states = np.zeros((self.capacity, *state.shape), dtype=state.dtype)
         slot = self.insertions % self.capacity
-        self._states[slot] = state
+        self._states[slot] = transition.state
         self._actions[slot] = transition.action
         self._rewards[slot] = transition.reward
         self._next_states[slot] = transition.next_state

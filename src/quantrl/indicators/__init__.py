@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -99,6 +101,16 @@ class IndicatorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown indicator kind {self.kind!r}")
+        ints = [self.fast, self.slow, self.signal, self.d_period, *self.periods]
+        ints += [] if self.period is None else [self.period]
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in ints) or len(self.periods) != 3:
+            raise ValueError(f"{self.kind}: period, fast, slow, signal, d_period and three periods must be integers")
+        accels = (self.accel_start, self.accel_step, self.accel_max)
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+                   for v in accels):
+            raise ValueError(f"{self.kind}: accel_start, accel_step and accel_max must be finite numbers")
+        if not isinstance(self.name, (str, type(None))) or self.name == "":
+            raise ValueError(f"{self.kind}: name must be a non-empty string or null, got {self.name!r:.40}")
         if self.period is None and self.kind in DEFAULT_PERIODS:
             object.__setattr__(self, "period", DEFAULT_PERIODS[self.kind])
         if self.period is not None and self.period < 1:
@@ -114,6 +126,8 @@ class IndicatorSpec:
             p1, p2, p3 = self.periods
             if not (1 <= p1 < p2 < p3):
                 raise ValueError(f"UO: periods must be strictly increasing and >= 1, got {self.periods}")
+        if self.kind == "SAR" and not (0.0 < self.accel_start <= self.accel_max and self.accel_step > 0.0):
+            raise ValueError("SAR: need 0 < accel_start <= accel_max and accel_step > 0")
 
     @property
     def column_name(self) -> str:

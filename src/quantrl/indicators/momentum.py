@@ -1,8 +1,9 @@
 """Momentum family: MOM, ROC, RSI, CMO, STOCHRSI and the stochastic oscillator.
 
-RSI uses Wilder smoothing (seeded by the simple average of the first n
-gains/losses, then avg_t = (avg_{t-1}*(n-1) + x_t)/n). Degenerate windows
-follow the documented rules: flat window -> 0, all-gain window -> RSI 100.
+RSI smooths gains and losses with ``trend._wilder_smooth`` (seeded by the
+simple average of the first n, then avg_t = (avg_{t-1}*(n-1) + x_t)/n).
+Degenerate windows follow the documented rules: flat window -> 0, all-gain
+window -> RSI 100.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .base import FeatureColumn
 from .moving import _as_close, _check_period, _sma_array
+from .trend import _wilder_smooth
 
 
 def mom(close, n: int, name: str | None = None) -> FeatureColumn:
@@ -34,16 +36,9 @@ def roc(close, n: int, name: str | None = None) -> FeatureColumn:
 def _rsi_array(close: np.ndarray, n: int) -> np.ndarray:
     out = np.full(close.shape, np.nan)
     diffs = np.diff(close)
-    gains = np.maximum(diffs, 0.0)
-    losses = np.maximum(-diffs, 0.0)
-    avg_gain = float(gains[:n].mean())
-    avg_loss = float(losses[:n].mean())
-    values = [_rsi_value(avg_gain, avg_loss)]
-    for gain, loss in zip(gains[n:].tolist(), losses[n:].tolist()):
-        avg_gain = (avg_gain * (n - 1) + gain) / n
-        avg_loss = (avg_loss * (n - 1) + loss) / n
-        values.append(_rsi_value(avg_gain, avg_loss))
-    out[n:] = values
+    avg_gains = _wilder_smooth(np.maximum(diffs, 0.0), n)[n - 1 :].tolist()
+    avg_losses = _wilder_smooth(np.maximum(-diffs, 0.0), n)[n - 1 :].tolist()
+    out[n:] = list(map(_rsi_value, avg_gains, avg_losses))
     return out
 
 

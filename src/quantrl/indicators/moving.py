@@ -88,46 +88,39 @@ def trima(close, n: int, name: str | None = None) -> FeatureColumn:
     return FeatureColumn(name or f"TRIMA_{n}", out, n - 1, "TRIMA")
 
 
+def _ema_chain(close: np.ndarray, n: int, depth: int) -> list[np.ndarray]:
+    """EMA, EMA(EMA), ... up to ``depth`` levels, each aligned to ``close``;
+    level k (from 1) is first defined at k*(n-1)."""
+    chain = [_ema_array(close, n)]
+    for k in range(1, depth):
+        level = np.full(close.shape, np.nan)
+        level[(k + 1) * (n - 1) :] = _ema_array(chain[-1][k * (n - 1) :], n)[n - 1 :]
+        chain.append(level)
+    return chain
+
+
 def dema(close, n: int, name: str | None = None) -> FeatureColumn:
     """2*EMA - EMA(EMA); first defined after 2n-1 bars."""
     close = _as_close(close)
     _check_period(n, len(close), 2 * (n - 1), "DEMA")
-    e1 = _ema_array(close, n)
-    e2 = np.full(close.shape, np.nan)
-    e2[2 * (n - 1) :] = _ema_array(e1[n - 1 :], n)[n - 1 :]
-    out = np.full(close.shape, np.nan)
-    lo = 2 * (n - 1)
-    out[lo:] = 2.0 * e1[lo:] - e2[lo:]
-    return FeatureColumn(name or f"DEMA_{n}", out, lo, "DEMA")
-
-
-def _triple_ema(close: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    e1 = _ema_array(close, n)
-    e2 = np.full(close.shape, np.nan)
-    e2[2 * (n - 1) :] = _ema_array(e1[n - 1 :], n)[n - 1 :]
-    e3 = np.full(close.shape, np.nan)
-    e3[3 * (n - 1) :] = _ema_array(e2[2 * (n - 1) :], n)[n - 1 :]
-    return e3, 3 * (n - 1)
+    e1, e2 = _ema_chain(close, n, 2)
+    return FeatureColumn(name or f"DEMA_{n}", 2.0 * e1 - e2, 2 * (n - 1), "DEMA")
 
 
 def tema(close, n: int, name: str | None = None) -> FeatureColumn:
     """3*EMA - 3*EMA(EMA) + EMA(EMA(EMA)); first defined after 3n-2 bars."""
     close = _as_close(close)
     _check_period(n, len(close), 3 * (n - 1), "TEMA")
-    e1 = _ema_array(close, n)
-    e2 = np.full(close.shape, np.nan)
-    e2[2 * (n - 1) :] = _ema_array(e1[n - 1 :], n)[n - 1 :]
-    e3, lo = _triple_ema(close, n)
-    out = np.full(close.shape, np.nan)
-    out[lo:] = 3.0 * e1[lo:] - 3.0 * e2[lo:] + e3[lo:]
-    return FeatureColumn(name or f"TEMA_{n}", out, lo, "TEMA")
+    e1, e2, e3 = _ema_chain(close, n, 3)
+    return FeatureColumn(name or f"TEMA_{n}", 3.0 * e1 - 3.0 * e2 + e3, 3 * (n - 1), "TEMA")
 
 
 def trix(close, n: int, name: str | None = None) -> FeatureColumn:
     """One-period percent rate of change of the triple EMA."""
     close = _as_close(close)
     _check_period(n, len(close), 3 * (n - 1) + 1, "TRIX")
-    e3, lo = _triple_ema(close, n)
+    e3 = _ema_chain(close, n, 3)[2]
+    lo = 3 * (n - 1)
     out = np.full(close.shape, np.nan)
     out[lo + 1 :] = 100.0 * (e3[lo + 1 :] - e3[lo:-1]) / e3[lo:-1]
     return FeatureColumn(name or f"TRIX_{n}", out, lo + 1, "TRIX")

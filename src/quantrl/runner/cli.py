@@ -20,7 +20,7 @@ from ..agents import a2c_train, dqn_train, load_policy, ppo_train, save_policy
 from ..atomic import atomic_open
 from ..backtest import compute_report, render_report, run_policy
 from ..errors import (
-    EmptySeries, InvariantViolation, MalformedRow, NonPositiveValue, PeriodTooLong, QuantrlError, SchemaError,
+    CorruptFile, EmptySeries, InvariantViolation, MalformedRow, NonPositiveValue, PeriodTooLong, SchemaError,
     SeriesTooShort,
 )
 from ..indicators import compute_feature_matrix
@@ -176,10 +176,7 @@ def _cmd_train(args) -> int:
 def _cmd_backtest(args) -> int:
     cfg = _effective_config(args)
     out = _out_dir(cfg)
-    policy_path = Path(args.policy) if args.policy else out / "policy.bin"
-    if not policy_path.exists():
-        raise QuantrlError(f"policy file not found: {policy_path}")
-    policy = load_policy(policy_path)
+    policy = load_policy(Path(args.policy) if args.policy else out / "policy.bin")
     env = _build_env(cfg)
     ledger, curve, trades = run_policy(env, policy)
     report = compute_report(curve, trades)
@@ -242,7 +239,8 @@ _HANDLERS = {
     "compare": _cmd_compare,
 }
 
-_DATA_ERRORS = (MalformedRow, InvariantViolation, EmptySeries, NonPositiveValue, PeriodTooLong, SeriesTooShort)
+_DATA_ERRORS = (MalformedRow, InvariantViolation, EmptySeries, NonPositiveValue, PeriodTooLong, SeriesTooShort,
+                CorruptFile, FileNotFoundError)
 
 
 def _emit_error(kind: str, exc: Exception) -> None:
@@ -264,9 +262,6 @@ def cli(argv: list[str]) -> int:
         _emit_error("config", exc)
         return EXIT_CONFIG
     except _DATA_ERRORS as exc:
-        _emit_error("data", exc)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
         _emit_error("data", exc)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - last-resort CLI boundary

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -119,6 +120,15 @@ def _require(section: dict, key: str, types, path: str, allow_none: bool = False
     return value
 
 
+def _finite(section: dict, key: str, path: str) -> float:
+    """A number field as a float. Python's json reads NaN and Infinity; they are
+    refused, as are integers beyond the float range."""
+    value = _require(section, key, (int, float), path)
+    if not abs(value) <= sys.float_info.max:
+        raise SchemaError(path, f"must be a finite number, got {value!r:.40}")
+    return float(value)
+
+
 def _parse_date(value, path: str) -> date | None:
     if value is None:
         return None
@@ -144,6 +154,8 @@ def _parse_specs(raw_specs, path: str) -> list[IndicatorSpec]:
             specs.append(IndicatorSpec(**fields))
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}[{i}]", str(exc)) from exc
+        if specs[-1].column_name in [spec.column_name for spec in specs[:-1]]:
+            raise SchemaError(f"{path}[{i}]", f"duplicate column name {specs[-1].column_name!r}")
     return specs
 
 
@@ -186,11 +198,11 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         raise SchemaError("env.reward_kind", str(exc)) from exc
     env_fields = {
         "window_size": _require(env_sec, "window_size", int, "env.window_size"),
-        "commission": float(_require(env_sec, "commission", (int, float), "env.commission")),
+        "commission": _finite(env_sec, "commission", "env.commission"),
         "reward_kind": reward_kind,
         "normalization": norm_kind,
         "include_position_flag": _require(env_sec, "include_position_flag", bool, "env.include_position_flag"),
-        "initial_cash": float(_require(env_sec, "initial_cash", (int, float), "env.initial_cash")),
+        "initial_cash": _finite(env_sec, "initial_cash", "env.initial_cash"),
     }
     try:
         env_config = EnvConfig(**env_fields)
@@ -208,7 +220,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     for key in int_fields:
         hp_fields[key] = _require(agent_sec, key, int, f"agent.{key}")
     for key in float_fields:
-        hp_fields[key] = float(_require(agent_sec, key, (int, float), f"agent.{key}"))
+        hp_fields[key] = _finite(agent_sec, key, f"agent.{key}")
     hp_fields["optimizer"] = _require(agent_sec, "optimizer", str, "agent.optimizer")
     hp_fields["hidden_sizes"] = tuple(_require(agent_sec, "hidden_sizes", list, "agent.hidden_sizes"))
     try:
@@ -220,6 +232,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         raise SchemaError(key, message) from exc
 
     seed = _require(merged, "seed", int, "seed")
+    if seed < 0:
+        raise SchemaError("seed", f"must be >= 0, got {seed}")
     output_dir = _require(merged, "output_dir", str, "output_dir")
     return ExperimentConfig(
         data=DataConfig(path, start, end),
@@ -242,6 +256,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise SchemaError("<config>", f"config file not found: {file_path}")
     try:
         raw = json.loads(file_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer longer than Python parses
         raise SchemaError("<config>", f"invalid JSON in {file_path}: {exc}") from exc
     return resolve_config(raw)

@@ -75,16 +75,10 @@ class ObservationWindow:
     values: np.ndarray
     position_flag: float | None = None
 
-    def flatten(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The observation as one vector: the window row-major, then the flag.
-        Written into ``out`` and returned as ``out`` when given."""
+    def flatten(self) -> np.ndarray:
+        """The observation as one vector: the window row-major, then the flag."""
         flat = np.asarray(self.values, dtype=float).ravel()
-        if out is None:
-            return flat if self.position_flag is None else np.append(flat, self.position_flag)
-        out[: flat.size] = flat
-        if self.position_flag is not None:
-            out[-1] = self.position_flag
-        return out
+        return flat if self.position_flag is None else np.append(flat, self.position_flag)
 
 
 class StepResult(NamedTuple):
@@ -256,6 +250,14 @@ class TradingEnv:
         rows[:, :, :-1] = windows[:, None]
         rows[:, :, -1] = (Position.SHORT, Position.LONG)
         return rows.reshape(2 * len(windows), -1)[lo - 2 * first : hi - 2 * first]
+
+    def observations(self, rows) -> np.ndarray:
+        """Rows ``rows`` of ``observation_table()`` (any order, repeats allowed),
+        gathered from the window table into a new C-contiguous array."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if not self._flagged:
+            return self._windows[rows]
+        return np.column_stack((self._windows[rows // 2], rows % 2))
 
     @property
     def observation_index(self) -> int:

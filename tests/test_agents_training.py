@@ -52,7 +52,7 @@ def tiny_hp(**overrides) -> Hyperparams:
 
 
 def transition(value: float) -> Transition:
-    return Transition(np.array([value]), 0, value, np.array([value]), False)
+    return Transition(int(value), 0, value, int(value), False)
 
 
 def test_replay_evicts_oldest():
@@ -374,7 +374,8 @@ def test_hyperparams_validation():
         Hyperparams(exploration_final=-0.1)
 
 
-@pytest.mark.parametrize("hidden", [(0,), (64, -1), (2.5,), ()], ids=["zero", "negative", "float", "empty"])
+@pytest.mark.parametrize("hidden", [(0,), (64, -1), (2.5,), (), (True,), (10**18,)],
+                         ids=["zero", "negative", "float", "empty", "bool", "huge"])
 def test_hyperparams_rejects_bad_hidden_sizes(hidden):
     with pytest.raises(ValueError, match="hidden_sizes"):
         Hyperparams(hidden_sizes=hidden)
@@ -419,6 +420,7 @@ class RecordingEnv:
         self.config = env.config
         self.observation_size = env.observation_size
         self.observation_rows = env.observation_rows
+        self.observations = env.observations
         self.acted: list[np.ndarray] = []
         self.current = None
 
@@ -455,6 +457,20 @@ def test_rollout_states_equal_observations(normalization, flag):
         assert np.array_equal(states, np.array(env.acted[8 * k : 8 * (k + 1)]))
         assert np.array_equal(obs, after)
     assert env.acted[0].shape == (env.observation_size,)
+
+
+@pytest.mark.parametrize("train", [a2c_train, ppo_train], ids=["a2c", "ppo"])
+def test_on_policy_training_never_flattens_a_window(monkeypatch, train):
+    """Rollouts keep observation-table rows and gather them once per update."""
+    from quantrl.trading_env import ObservationWindow
+
+    calls = []
+    flatten = ObservationWindow.flatten
+    monkeypatch.setattr(ObservationWindow, "flatten", lambda self, *args: calls.append(1) or flatten(self, *args))
+    train(lambda: tiny_env(), tiny_hp(total_timesteps=100), seed=0)
+    assert calls == []
+    tiny_env().reset().flatten()
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("flag", [True, False])

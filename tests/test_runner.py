@@ -147,7 +147,10 @@ def test_cli_missing_config_exit_code(capsys):
     assert "/nonexistent/config.json" in payload["message"]
 
 
-@pytest.mark.parametrize("key, value", [("exploration_initial", 1.5), ("exploration_final", -0.1)])
+@pytest.mark.parametrize("key, value", [
+    ("exploration_initial", 1.5), ("exploration_final", -0.1), ("learning_rate", float("nan")),
+    ("clip_range", float("nan")), ("entropy_coef", float("nan")), ("gamma", float("inf")),
+])
 def test_cli_exploration_out_of_range_is_config_error(tmp_path, data_csv, capsys, key, value):
     cfg = write_config(tmp_path, data_csv, agent={key: value})
     assert cli(["train", "--config", str(cfg)]) == EXIT_CONFIG
@@ -156,7 +159,50 @@ def test_cli_exploration_out_of_range_is_config_error(tmp_path, data_csv, capsys
     assert payload["message"].startswith(f"agent.{key}:")
 
 
-@pytest.mark.parametrize("hidden", [[0], [64, -1], [2.5], []], ids=["zero", "negative", "float", "empty"])
+@pytest.mark.parametrize("section, key, value", [
+    ("env", "initial_cash", float("inf")), ("env", "commission", float("nan")),
+    ("agent", "value_coef", 10**400), ("agent", "gae_lambda", float("-inf")),
+])
+def test_cli_non_finite_number_is_config_error(tmp_path, data_csv, capsys, section, key, value):
+    cfg = write_config(tmp_path, data_csv, **{section: {key: value}})
+    assert cli(["train", "--config", str(cfg)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["message"].startswith(f"{section}.{key}: must be a finite number")
+
+
+@pytest.mark.parametrize("args, overrides", [([], {"seed": -1}), (["--seed", "-1"], {})], ids=["config", "flag"])
+def test_cli_negative_seed_is_config_error(tmp_path, data_csv, capsys, args, overrides):
+    cfg = write_config(tmp_path, data_csv, **overrides)
+    assert cli(["train", "--config", str(cfg), *args]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["message"] == "seed: must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("spec, detail", [
+    ({"kind": "SMA", "period": 2.5}, "must be integers"),
+    ({"kind": "SMA", "period": True}, "must be integers"),
+    ({"kind": "MACD", "fast": False}, "must be integers"),
+    ({"kind": "UO", "periods": [7, 14]}, "must be integers"),
+    ({"kind": "SMA", "period": 2, "name": 5}, "name must be a non-empty string"),
+    ({"kind": "MACD", "name": ""}, "name must be a non-empty string"),
+    ({"kind": "SAR", "accel_start": float("nan")}, "must be finite numbers"),
+    ({"kind": "SAR", "accel_step": "0.02"}, "must be finite numbers"),
+    ({"kind": "SAR", "accel_start": 0.3}, "0 < accel_start <= accel_max"),
+    ({"kind": "WMA", "period": 3, "name": "SMA_2"}, "duplicate column name 'SMA_2'"),
+], ids=["float-period", "bool-period", "bool-fast", "two-periods", "int-name", "empty-name", "nan-accel", "str-accel",
+        "sar-rule", "duplicate-name"])
+def test_cli_bad_indicator_spec_is_config_error(tmp_path, data_csv, capsys, spec, detail):
+    cfg = write_config(tmp_path, data_csv, features={"specs": [{"kind": "SMA", "period": 2}, spec]})
+    assert cli(["features", "--config", str(cfg)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["message"]
+    assert message.startswith("features.specs[1]: ") and detail in message
+
+
+@pytest.mark.parametrize("hidden", [[0], [64, -1], [2.5], [], [True]], ids=["zero", "negative", "float", "empty", "bool"])
 def test_cli_bad_hidden_sizes_is_config_error(tmp_path, data_csv, capsys, hidden):
     cfg = write_config(tmp_path, data_csv, agent={"hidden_sizes": hidden})
     with pytest.raises(SchemaError) as err:
@@ -221,6 +267,22 @@ def test_cli_unknown_flag_rejected():
 def test_cli_missing_data_file(tmp_path):
     cfg = write_config(tmp_path, tmp_path / "missing.csv")
     assert cli(["ingest", "--config", str(cfg)]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("fault, error", [("missing", "FileNotFoundError"), ("truncated", "CorruptFile")])
+def test_cli_bad_policy_file_is_data_error(tmp_path, data_csv, capsys, fault, error):
+    cfg = write_config(tmp_path, data_csv, agent={"total_timesteps": 50})
+    policy = tmp_path / "run" / "policy.bin"
+    if fault == "truncated":
+        assert cli(["train", "--config", str(cfg)]) == EXIT_OK
+        policy.write_bytes(policy.read_bytes()[:-8])
+    capsys.readouterr()
+    assert cli(["backtest", "--config", str(cfg), "--policy", str(policy)]) == EXIT_DATA
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["type"]) == ("data", error)
+    assert str(policy) in payload["message"]
 
 
 def test_cli_malformed_data(tmp_path):

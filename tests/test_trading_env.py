@@ -388,7 +388,7 @@ def test_observation_table_rows_equal_observations(kind, frozen, flag):
 
 
 @pytest.mark.parametrize("flag", [True, False])
-@pytest.mark.parametrize("kind", [NormalizationKind.MIN_MAX, NormalizationKind.WINDOW_LOG])
+@pytest.mark.parametrize("kind", list(NormalizationKind))
 def test_observation_rows_equal_table_slices(kind, flag):
     series = random_walk_series(40, seed=13)
     features = compute_feature_matrix(series, [IndicatorSpec("SMA", 2), IndicatorSpec("WMA", 3)])
@@ -401,6 +401,13 @@ def test_observation_rows_equal_table_slices(kind, flag):
             rows = env.observation_rows(lo, hi)
             assert rows.shape == table[lo:hi].shape
             assert rows.tobytes() == table[lo:hi].tobytes()
+    # a gather takes rows in any order, with repeats
+    rng = np.random.default_rng(14)
+    for size in (0, 1, 7, 3 * n):
+        rows = rng.integers(n, size=size)
+        gathered = env.observations(rows)
+        assert gathered.flags.c_contiguous and gathered.shape == table[rows].shape
+        assert gathered.tobytes() == table[rows].tobytes()
 
 
 def test_position_flag_toggle():
