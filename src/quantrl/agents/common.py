@@ -9,15 +9,16 @@ from pathlib import Path
 import numpy as np
 
 from ..atomic import atomic_open
+from ..errors import SchemaError
 
 
 @dataclass(frozen=True)
 class Hyperparams:
     """Tuning knobs for DQN/A2C/PPO.
 
-    Defaults follow the reference experiment block: lr 1e-4, buffer 100k,
-    batch 128, gamma 0.99, target update every 1000 steps, one million
-    total steps, epsilon 1.0 -> 0.05 over the first 10% of training.
+    The field defaults are the reference experiment block and the config's
+    ``agent`` defaults. Epsilon anneals from exploration_initial to
+    exploration_final over the first exploration_fraction of training.
     """
 
     learning_rate: float = 1e-4
@@ -40,31 +41,21 @@ class Hyperparams:
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1 or self.buffer_size < 1:
-            raise ValueError("batch_size and buffer_size must be >= 1")
+            raise SchemaError("learning_rate", f"must be > 0, got {self.learning_rate}")
+        for name in ("buffer_size", "batch_size", "target_update_interval", "total_timesteps", "n_steps", "n_epochs"):
+            if getattr(self, name) < 1:
+                raise SchemaError(name, f"must be >= 1, got {getattr(self, name)}")
         if self.batch_size > self.buffer_size:
-            raise ValueError(f"batch_size {self.batch_size} > buffer_size {self.buffer_size}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.target_update_interval < 1 or self.total_timesteps < 1 or self.n_steps < 1:
-            raise ValueError("intervals and step counts must be >= 1")
+            raise SchemaError("batch_size", f"{self.batch_size} > buffer_size {self.buffer_size}")
+        for name in ("gamma", "exploration_initial", "exploration_final", "exploration_fraction", "gae_lambda"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise SchemaError(name, f"must be in [0, 1], got {getattr(self, name)}")
         if self.clip_range <= 0.0:
-            raise ValueError(f"clip_range must be > 0, got {self.clip_range}")
-        if not 0.0 <= self.exploration_initial <= 1.0:
-            raise ValueError(f"exploration_initial must be in [0, 1], got {self.exploration_initial}")
-        if not 0.0 <= self.exploration_final <= 1.0:
-            raise ValueError(f"exploration_final must be in [0, 1], got {self.exploration_final}")
-        if not 0.0 <= self.exploration_fraction <= 1.0:
-            raise ValueError("exploration_fraction must be in [0, 1]")
+            raise SchemaError("clip_range", f"must be > 0, got {self.clip_range}")
         if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValueError("gae_lambda must be in [0, 1]")
-        if self.n_epochs < 1:
-            raise ValueError("n_epochs must be >= 1")
+            raise SchemaError("optimizer", f"must be 'sgd' or 'adam', got {self.optimizer!r}")
         if not self.hidden_sizes or not all(type(h) is int and 1 <= h <= 4096 for h in self.hidden_sizes):
-            raise ValueError(f"hidden_sizes must be non-empty ints in [1, 4096], got {self.hidden_sizes!r:.60}")
+            raise SchemaError("hidden_sizes", f"must be non-empty ints in [1, 4096], got {self.hidden_sizes!r:.60}")
 
 
 def linear_epsilon(step: int, total_timesteps: int, initial: float = 1.0,

@@ -65,7 +65,8 @@ class DqnTrainer:
         # differently from the same rows in a per-batch forward pass.
         self.observations = np.pad(table, ((0, -len(table) % 8), (0, 0)))
         self.next_q_max = self._target_q_max()
-        self.buffer = ReplayBuffer(hyperparams.buffer_size)
+        # The ring never holds more than total_timesteps transitions.
+        self.buffer = ReplayBuffer(min(hyperparams.buffer_size, hyperparams.total_timesteps))
         self.optimizer = make_optimizer(hyperparams.optimizer, hyperparams.learning_rate)
         self.workspace = Workspace(self.policy, hyperparams.batch_size)
         self.log = TrainingLog()

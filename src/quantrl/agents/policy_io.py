@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..atomic import atomic_open
-from ..errors import CorruptFile, ShapeMismatch
+from ..errors import CorruptFile
 from .mlp import MlpPolicy, param_count
 
 MAGIC = b"QRLP"
@@ -38,14 +38,14 @@ def load_policy(path: str | Path) -> MlpPolicy:
     if version != FORMAT_VERSION:
         raise CorruptFile(f"{path}: unsupported format version {version}")
     if n_layers < 1:
-        raise ShapeMismatch(f"{path}: header declares {n_layers} layers")
+        raise CorruptFile(f"{path}: header declares {n_layers} layers")
     offset = 12
     if len(data) < offset + 4 * (n_layers + 1):
         raise CorruptFile(f"{path}: truncated header")
     sizes = struct.unpack_from(f"<{n_layers + 1}I", data, offset)
     offset += 4 * (n_layers + 1)
     if any(s < 1 for s in sizes):
-        raise ShapeMismatch(f"{path}: zero-sized layer in header {sizes}")
+        raise CorruptFile(f"{path}: zero-sized layer in header {sizes}")
     expected = offset + 8 * param_count(sizes)
     if len(data) != expected:
         raise CorruptFile(f"{path}: payload {len(data)} bytes, header implies {expected}")

@@ -85,8 +85,8 @@ class TooFewSamples(QuantrlError):
     """Metric needs more return samples than provided."""
 
 
-class SchemaError(QuantrlError):
-    """Experiment config failed validation."""
+class SchemaError(QuantrlError, ValueError):
+    """Experiment config failed validation at ``key``."""
 
     def __init__(self, key: str, detail: str):
         super().__init__(f"{key}: {detail}")

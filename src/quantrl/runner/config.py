@@ -1,60 +1,49 @@
 """Experiment configuration: a single JSON document with full defaults.
 
 Every run is seeded explicitly; an empty JSON object resolves to the
-documented default experiment (DQN, lr 1e-4, buffer 100k, batch 128,
-gamma 0.99, target sync every 1000 steps, one million timesteps,
-window 10, commission 0).
+default experiment. The ``env`` and ``agent`` sections are the fields of
+``EnvConfig`` and ``Hyperparams`` (plus ``agent.algorithm``): their
+defaults, types and range rules are stated there and nowhere else.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from datetime import date
+from enum import Enum
 from pathlib import Path
 
 from ..agents import Hyperparams
 from ..errors import SchemaError
 from ..indicators import KINDS, IndicatorSpec, default_specs
 from ..normalize import NormalizationKind
-from ..trading_env import EnvConfig, RewardKind
+from ..trading_env import EnvConfig
 
 ALGORITHMS = ("DQN", "A2C", "PPO")
+
+
+def _defaults(cls, skip=()) -> dict:
+    """The field defaults of a config dataclass as JSON values."""
+    values = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in skip:
+            value = f.default.value if isinstance(f.default, Enum) else f.default
+            values[f.name] = list(value) if isinstance(value, tuple) else value
+    return values
+
 
 DEFAULTS: dict = {
     "data": {"path": None, "start": None, "end": None},
     "features": {"specs": None},
-    "normalization": {"kind": "MinMax", "per_family": {}},
-    "env": {
-        "window_size": 10,
-        "commission": 0.0,
-        "reward_kind": "ImmediateLogReturn",
-        "include_position_flag": True,
-        "initial_cash": 10_000.0,
-    },
-    "agent": {
-        "algorithm": "DQN",
-        "learning_rate": 1e-4,
-        "buffer_size": 100_000,
-        "batch_size": 128,
-        "gamma": 0.99,
-        "target_update_interval": 1000,
-        "total_timesteps": 1_000_000,
-        "exploration_initial": 1.0,
-        "exploration_final": 0.05,
-        "exploration_fraction": 0.10,
-        "n_steps": 64,
-        "clip_range": 0.2,
-        "entropy_coef": 0.01,
-        "value_coef": 0.5,
-        "gae_lambda": 0.95,
-        "n_epochs": 10,
-        "optimizer": "sgd",
-        "hidden_sizes": [64, 64],
-    },
+    "normalization": {"kind": EnvConfig.normalization.value, "per_family": {}},
+    "env": _defaults(EnvConfig, skip=("normalization",)),
+    "agent": {"algorithm": "DQN", **_defaults(Hyperparams)},
     "seed": 0,
     "output_dir": "runs/default",
 }
@@ -113,10 +102,9 @@ def _require(section: dict, key: str, types, path: str, allow_none: bool = False
         if allow_none:
             return None
         raise SchemaError(path, "must not be null")
-    if isinstance(value, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise SchemaError(path, "expected a number, got a boolean")
-    if not isinstance(value, types):
-        raise SchemaError(path, f"expected {types}, got {type(value).__name__}")
+    types = types if isinstance(types, tuple) else (types,)
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise SchemaError(path, f"expected {' or '.join(t.__name__ for t in types)}, got {type(value).__name__}")
     return value
 
 
@@ -127,6 +115,35 @@ def _finite(section: dict, key: str, path: str) -> float:
     if not abs(value) <= sys.float_info.max:
         raise SchemaError(path, f"must be a finite number, got {value!r:.40}")
     return float(value)
+
+
+def _parse_enum(cls, value, path: str):
+    try:
+        return cls(value)
+    except ValueError as exc:
+        raise SchemaError(path, f"{value!r:.40} is not one of {[member.value for member in cls]}") from exc
+
+
+def _build(cls, section: dict, prefix: str, **given):
+    """``cls`` from the fields of ``section``, each read as its annotated type
+    (fields in ``given`` are passed as they are). A range fault names its key."""
+    values = dict(given)
+    for name, hint in typing.get_type_hints(cls).items():
+        if name in given:
+            continue
+        path = f"{prefix}.{name}"
+        if hint is float:
+            values[name] = _finite(section, name, path)
+        elif typing.get_origin(hint) is tuple:
+            values[name] = tuple(_require(section, name, list, path))
+        elif issubclass(hint, Enum):
+            values[name] = _parse_enum(hint, _require(section, name, str, path), path)
+        else:
+            values[name] = _require(section, name, hint, path)
+    try:
+        return cls(**values)
+    except SchemaError as exc:
+        raise SchemaError(f"{prefix}.{exc.key}", exc.detail) from exc
 
 
 def _parse_date(value, path: str) -> date | None:
@@ -159,13 +176,6 @@ def _parse_specs(raw_specs, path: str) -> list[IndicatorSpec]:
     return specs
 
 
-def _parse_kind(value, path: str) -> NormalizationKind:
-    try:
-        return NormalizationKind(value)
-    except ValueError as exc:
-        raise SchemaError(path, f"unknown normalization kind {value!r}") from exc
-
-
 def resolve_config(raw: dict) -> ExperimentConfig:
     """Merge ``raw`` over the defaults and validate every field."""
     if not isinstance(raw, dict):
@@ -181,7 +191,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 
     specs = _parse_specs(merged["features"]["specs"], "features.specs")
 
-    norm_kind = _parse_kind(merged["normalization"]["kind"], "normalization.kind")
+    norm_kind = _parse_enum(NormalizationKind, merged["normalization"]["kind"], "normalization.kind")
     per_family_raw = merged["normalization"]["per_family"]
     if not isinstance(per_family_raw, dict):
         raise SchemaError("normalization.per_family", "expected an object")
@@ -189,47 +199,18 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     for key, value in per_family_raw.items():
         if key not in KINDS:
             raise SchemaError(f"normalization.per_family.{key}", f"unknown indicator kind {key!r}")
-        per_family[key] = _parse_kind(value, f"normalization.per_family.{key}")
+        per_family[key] = _parse_enum(NormalizationKind, value, f"normalization.per_family.{key}")
 
-    env_sec = merged["env"]
-    try:
-        reward_kind = RewardKind(_require(env_sec, "reward_kind", str, "env.reward_kind"))
-    except ValueError as exc:
-        raise SchemaError("env.reward_kind", str(exc)) from exc
-    env_fields = {
-        "window_size": _require(env_sec, "window_size", int, "env.window_size"),
-        "commission": _finite(env_sec, "commission", "env.commission"),
-        "reward_kind": reward_kind,
-        "normalization": norm_kind,
-        "include_position_flag": _require(env_sec, "include_position_flag", bool, "env.include_position_flag"),
-        "initial_cash": _finite(env_sec, "initial_cash", "env.initial_cash"),
-    }
-    try:
-        env_config = EnvConfig(**env_fields)
-    except ValueError as exc:
-        raise SchemaError("env", str(exc)) from exc
+    env_config = _build(EnvConfig, merged["env"], "env", normalization=norm_kind)
 
     agent_sec = merged["agent"]
     algorithm = _require(agent_sec, "algorithm", str, "agent.algorithm")
     if algorithm not in ALGORITHMS:
         raise SchemaError("agent.algorithm", f"must be one of {ALGORITHMS}, got {algorithm!r}")
-    int_fields = ("buffer_size", "batch_size", "target_update_interval", "total_timesteps", "n_steps", "n_epochs")
-    float_fields = ("learning_rate", "gamma", "exploration_initial", "exploration_final",
-                    "exploration_fraction", "clip_range", "entropy_coef", "value_coef", "gae_lambda")
-    hp_fields: dict = {}
-    for key in int_fields:
-        hp_fields[key] = _require(agent_sec, key, int, f"agent.{key}")
-    for key in float_fields:
-        hp_fields[key] = _finite(agent_sec, key, f"agent.{key}")
-    hp_fields["optimizer"] = _require(agent_sec, "optimizer", str, "agent.optimizer")
-    hp_fields["hidden_sizes"] = tuple(_require(agent_sec, "hidden_sizes", list, "agent.hidden_sizes"))
-    try:
-        hyperparams = Hyperparams(**hp_fields)
-    except ValueError as exc:
-        message = str(exc)
-        offending = next((k for k in hp_fields if k in message), "")
-        key = f"agent.{offending}" if offending else "agent"
-        raise SchemaError(key, message) from exc
+    hyperparams = _build(Hyperparams, agent_sec, "agent")
+    if algorithm != "DQN" and hyperparams.n_steps > hyperparams.total_timesteps:
+        raise SchemaError("agent.n_steps", f"{hyperparams.n_steps} > total_timesteps {hyperparams.total_timesteps}: "
+                                           f"no {algorithm} rollout would fill")
 
     seed = _require(merged, "seed", int, "seed")
     if seed < 0:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import NonPositiveEquity, NonPositivePrice, SeriesTooShort, SteppedAfterDone
+from .errors import NonPositiveEquity, NonPositivePrice, SchemaError, SeriesTooShort, SteppedAfterDone
 from .indicators import FeatureMatrix
 from .market_data import OhlcvSeries
 from .normalize import NormalizationKind, NormalizationStats, normalize
@@ -59,11 +59,11 @@ class EnvConfig:
 
     def __post_init__(self):
         if self.window_size < 1:
-            raise ValueError(f"window_size must be >= 1, got {self.window_size}")
+            raise SchemaError("window_size", f"must be >= 1, got {self.window_size}")
         if not 0.0 <= self.commission < 1.0:
-            raise ValueError(f"commission must be in [0, 1), got {self.commission}")
+            raise SchemaError("commission", f"must be in [0, 1), got {self.commission}")
         if self.initial_cash <= 0.0:
-            raise ValueError(f"initial_cash must be > 0, got {self.initial_cash}")
+            raise SchemaError("initial_cash", f"must be > 0, got {self.initial_cash}")
 
 
 @dataclass(frozen=True)

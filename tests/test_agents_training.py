@@ -29,7 +29,7 @@ from quantrl.agents import (
 )
 from quantrl.agents.a2c import train_on_policy
 from quantrl.agents.mlp import softmax_pair
-from quantrl.errors import BufferTooSmall, CorruptFile, ShapeMismatch, TrainingDiverged
+from quantrl.errors import BufferTooSmall, CorruptFile, TrainingDiverged
 
 
 def tiny_env(n=60, seed=3, **config_kwargs) -> TradingEnv:
@@ -166,7 +166,7 @@ def test_zero_layer_header_rejected(tmp_path):
 
     path = tmp_path / "z.bin"
     path.write_bytes(b"QRLP" + struct.pack("<II", 1, 0))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(CorruptFile):
         load_policy(path)
 
 

@@ -1,4 +1,5 @@
 import json
+import struct
 from datetime import date
 
 import numpy as np
@@ -66,6 +67,31 @@ def test_empty_config_full_defaults(tmp_path):
     assert cfg.algorithm == "DQN"
     assert cfg.seed == 0
     assert len(cfg.specs) == 20
+
+
+DEFAULT_EXPERIMENT = {
+    "data": {"path": None, "start": None, "end": None},
+    "features": {"specs": None},
+    "normalization": {"kind": "MinMax", "per_family": {}},
+    "env": {"window_size": 10, "commission": 0.0, "reward_kind": "ImmediateLogReturn",
+            "include_position_flag": True, "initial_cash": 10_000.0},
+    "agent": {"algorithm": "DQN", "learning_rate": 1e-4, "buffer_size": 100_000, "batch_size": 128, "gamma": 0.99,
+              "target_update_interval": 1000, "total_timesteps": 1_000_000, "exploration_initial": 1.0,
+              "exploration_final": 0.05, "exploration_fraction": 0.10, "n_steps": 64, "clip_range": 0.2,
+              "entropy_coef": 0.01, "value_coef": 0.5, "gae_lambda": 0.95, "n_epochs": 10, "optimizer": "sgd",
+              "hidden_sizes": [64, 64]},
+    "seed": 0,
+    "output_dir": "runs/default",
+}
+
+
+def test_empty_config_resolves_to_the_literal_defaults():
+    """The defaults are derived from Hyperparams and EnvConfig; a literal copy
+    pins the resolved dict, its key order and its hash."""
+    resolved = resolve_config({}).resolved
+    assert resolved == DEFAULT_EXPERIMENT
+    assert json.dumps(resolved) == json.dumps(DEFAULT_EXPERIMENT)
+    assert config_hash(resolved) == "3f5db9d927fed74678167c6ae34af524091cae6093d1b8e1b982ef0dd9d2917b"
 
 
 def test_learning_rate_override(tmp_path):
@@ -150,13 +176,61 @@ def test_cli_missing_config_exit_code(capsys):
 @pytest.mark.parametrize("key, value", [
     ("exploration_initial", 1.5), ("exploration_final", -0.1), ("learning_rate", float("nan")),
     ("clip_range", float("nan")), ("entropy_coef", float("nan")), ("gamma", float("inf")),
+    ("batch_size", 0), ("batch_size", 512), ("n_steps", 0), ("total_timesteps", 0), ("target_update_interval", 0),
 ])
 def test_cli_exploration_out_of_range_is_config_error(tmp_path, data_csv, capsys, key, value):
-    cfg = write_config(tmp_path, data_csv, agent={key: value})
+    cfg = write_config(tmp_path, data_csv, agent={key: value})  # buffer_size is 256
     assert cli(["train", "--config", str(cfg)]) == EXIT_CONFIG
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "config"
     assert payload["message"].startswith(f"agent.{key}:")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("window_size", 0), ("commission", 1.5), ("initial_cash", -1), ("reward_kind", 5), ("reward_kind", "Bogus"),
+])
+def test_cli_env_fault_names_its_key_once(tmp_path, data_csv, capsys, key, value):
+    cfg = write_config(tmp_path, data_csv, env={key: value})
+    assert cli(["train", "--config", str(cfg)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["message"]
+    assert message.startswith(f"env.{key}: ") and message.count(key) == 1, message
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("learning_rate", "x", "expected int or float, got str"),
+    ("n_epochs", 2.5, "expected int, got float"),
+    ("optimizer", 1, "expected str, got int"),
+    ("batch_size", True, "expected int, got bool"),
+], ids=["float-field", "int-field", "str-field", "bool-for-int"])
+def test_cli_type_fault_names_types(tmp_path, data_csv, capsys, key, value, expected):
+    cfg = write_config(tmp_path, data_csv, agent={key: value})
+    assert cli(["train", "--config", str(cfg)]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err.strip())["message"] == f"agent.{key}: {expected}"
+
+
+@pytest.mark.parametrize("algorithm, n_steps, total", [("A2C", 10**18, 300), ("PPO", 100, 50)])
+def test_cli_rollout_longer_than_training_is_config_error(tmp_path, data_csv, capsys, algorithm, n_steps, total):
+    cfg = write_config(tmp_path, data_csv,
+                       agent={"algorithm": algorithm, "n_steps": n_steps, "total_timesteps": total})
+    assert cli(["train", "--config", str(cfg)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["message"].startswith("agent.n_steps: ")
+    # DQN does not roll out, so the same n_steps resolves for it
+    assert resolve_config({"agent": {"n_steps": n_steps, "total_timesteps": total}}).hyperparams.n_steps == n_steps
+
+
+def test_cli_dqn_buffer_larger_than_training_trains(tmp_path, data_csv, capsys):
+    """The replay ring holds at most total_timesteps transitions, so a buffer_size
+    that could never be allocated does not have to be, and trains as a buffer of
+    exactly total_timesteps (300) transitions."""
+    cfg = write_config(tmp_path, data_csv, agent={"buffer_size": 10**18})
+    assert cli(["train", "--config", str(cfg), "--out", str(tmp_path / "huge")]) == EXIT_OK
+    cfg = write_config(tmp_path, data_csv, agent={"buffer_size": 300})
+    assert cli(["train", "--config", str(cfg), "--out", str(tmp_path / "small")]) == EXIT_OK
+    assert (tmp_path / "huge" / "policy.bin").read_bytes() == (tmp_path / "small" / "policy.bin").read_bytes()
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -269,13 +343,20 @@ def test_cli_missing_data_file(tmp_path):
     assert cli(["ingest", "--config", str(cfg)]) == EXIT_DATA
 
 
-@pytest.mark.parametrize("fault, error", [("missing", "FileNotFoundError"), ("truncated", "CorruptFile")])
+@pytest.mark.parametrize("fault, error", [
+    ("missing", "FileNotFoundError"), ("truncated", "CorruptFile"), ("zero-layers", "CorruptFile"),
+    ("zero-sized-layer", "CorruptFile"),
+])
 def test_cli_bad_policy_file_is_data_error(tmp_path, data_csv, capsys, fault, error):
     cfg = write_config(tmp_path, data_csv, agent={"total_timesteps": 50})
     policy = tmp_path / "run" / "policy.bin"
     if fault == "truncated":
         assert cli(["train", "--config", str(cfg)]) == EXIT_OK
         policy.write_bytes(policy.read_bytes()[:-8])
+    elif fault != "missing":
+        policy.parent.mkdir()
+        header = struct.pack("<II", 1, 0) if fault == "zero-layers" else struct.pack("<IIII", 1, 1, 0, 2)
+        policy.write_bytes(b"QRLP" + header)
     capsys.readouterr()
     assert cli(["backtest", "--config", str(cfg), "--policy", str(policy)]) == EXIT_DATA
     lines = capsys.readouterr().err.strip().splitlines()
