@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TrainingDiverged
+from ..errors import SchemaError, TrainingDiverged
 from .common import Hyperparams, RowBlocks, TrainingLog, TrainingRecord
 from .losses import policy_gradient_loss, value_loss
 from .mlp import MlpPolicy, Workspace, init_mlp, mlp_forward, softmax, softmax_pair
@@ -105,9 +105,12 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
     critic = init_mlp([env.observation_size, *hp.hidden_sizes, 1], rng)
     nets = ActorCritic(actor, critic)
     rows = hp.n_steps if batch_rows is None else batch_rows
-    actor_learner, critic_learner = Learner(actor, hp, rows), Learner(critic, hp, rows)
+    try:  # the rollout, and A2C's workspaces, hold n_steps rows
+        rollout = _Rollout(hp.n_steps)
+        actor_learner, critic_learner = Learner(actor, hp, rows), Learner(critic, hp, rows)
+    except (MemoryError, ValueError) as exc:  # numpy's refusals of an array too large
+        raise SchemaError("agent.n_steps", f"the rollout cannot be allocated: {exc}") from exc
     log = TrainingLog()
-    rollout = _Rollout(hp.n_steps)
     rows_per_cursor = 2 if env.config.include_position_flag else 1
     thresholds = RowBlocks(env, lambda rows: sell_thresholds(actor, rows), (hp.n_steps + 1) * rows_per_cursor)
     env.reset()

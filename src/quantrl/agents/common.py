@@ -41,19 +41,19 @@ class Hyperparams:
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
-            raise SchemaError("learning_rate", f"must be > 0, got {self.learning_rate}")
+            raise SchemaError("learning_rate", f"must be > 0, got {self.learning_rate!r:.40}")
         for name in ("buffer_size", "batch_size", "target_update_interval", "total_timesteps", "n_steps", "n_epochs"):
             if getattr(self, name) < 1:
-                raise SchemaError(name, f"must be >= 1, got {getattr(self, name)}")
+                raise SchemaError(name, f"must be >= 1, got {getattr(self, name)!r:.40}")
         if self.batch_size > self.buffer_size:
-            raise SchemaError("batch_size", f"{self.batch_size} > buffer_size {self.buffer_size}")
+            raise SchemaError("batch_size", f"{self.batch_size!r:.40} > buffer_size {self.buffer_size!r:.40}")
         for name in ("gamma", "exploration_initial", "exploration_final", "exploration_fraction", "gae_lambda"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise SchemaError(name, f"must be in [0, 1], got {getattr(self, name)}")
+                raise SchemaError(name, f"must be in [0, 1], got {getattr(self, name)!r:.40}")
         if self.clip_range <= 0.0:
-            raise SchemaError("clip_range", f"must be > 0, got {self.clip_range}")
+            raise SchemaError("clip_range", f"must be > 0, got {self.clip_range!r:.40}")
         if self.optimizer not in ("sgd", "adam"):
-            raise SchemaError("optimizer", f"must be 'sgd' or 'adam', got {self.optimizer!r}")
+            raise SchemaError("optimizer", f"must be 'sgd' or 'adam', got {self.optimizer!r:.40}")
         if not self.hidden_sizes or not all(type(h) is int and 1 <= h <= 4096 for h in self.hidden_sizes):
             raise SchemaError("hidden_sizes", f"must be non-empty ints in [1, 4096], got {self.hidden_sizes!r:.60}")
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from ..errors import TrainingDiverged
+from ..errors import SchemaError, TrainingDiverged
 from .common import Hyperparams, TrainingLog, TrainingRecord, Transition, exploratory_action, linear_epsilon
 from .mlp import MlpPolicy, Workspace, forward_cached, init_mlp, mlp_backward, mlp_forward
 from .optim import make_optimizer
@@ -66,7 +66,10 @@ class DqnTrainer:
         self.observations = np.pad(table, ((0, -len(table) % 8), (0, 0)))
         self.next_q_max = self._target_q_max()
         # The ring never holds more than total_timesteps transitions.
-        self.buffer = ReplayBuffer(min(hyperparams.buffer_size, hyperparams.total_timesteps))
+        try:
+            self.buffer = ReplayBuffer(min(hyperparams.buffer_size, hyperparams.total_timesteps))
+        except (MemoryError, ValueError) as exc:  # numpy's refusals of an array too large
+            raise SchemaError("agent.buffer_size", f"the replay ring cannot be allocated: {exc}") from exc
         self.optimizer = make_optimizer(hyperparams.optimizer, hyperparams.learning_rate)
         self.workspace = Workspace(self.policy, hyperparams.batch_size)
         self.log = TrainingLog()

@@ -12,15 +12,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .agents.mlp import MlpPolicy, mlp_forward
 from .atomic import atomic_open
 from .errors import ShapeMismatch, TooFewSamples
-from .trading_env import EpisodeLedger, Position, TradingEnv
+from .trading_env import _BITS, _SIDE_AFTER, Action, EpisodeLedger, Position, TradingEnv
 
 TRADES_HEADER = "direction,entry_idx,entry_px,exit_idx,exit_px,ret,win"
 # Observation rows per greedy forward pass in run_policy: enough to amortise the
@@ -28,12 +28,7 @@ TRADES_HEADER = "direction,entry_idx,entry_px,exit_idx,exit_px,ret,win"
 BACKTEST_BLOCK_ROWS = 128
 
 
-@dataclass(frozen=True)
-class Trade:
-    """One closed position segment. ``ret`` is the commission-adjusted
-    fractional return; the final open position is force-closed at the last
-    bar without commission, for reporting."""
-
+class _TradeFields(NamedTuple):
     direction: Position
     entry_idx: int
     entry_px: float
@@ -42,11 +37,21 @@ class Trade:
     ret: float
     win: bool
 
-    def __post_init__(self):
-        if self.exit_idx <= self.entry_idx:
-            raise ValueError(f"exit index {self.exit_idx} not after entry {self.entry_idx}")
-        if self.entry_px <= 0 or self.exit_px <= 0:
+
+class Trade(_TradeFields):
+    """One closed position segment. ``ret`` is the commission-adjusted
+    fractional return; the final open position is force-closed at the last
+    bar without commission, for reporting. ``Trade(...)`` checks the record;
+    ``run_policy`` checks its columns once and builds records with ``_make``."""
+
+    __slots__ = ()
+
+    def __new__(cls, direction, entry_idx, entry_px, exit_idx, exit_px, ret, win):
+        if exit_idx <= entry_idx:
+            raise ValueError(f"exit index {exit_idx} not after entry {entry_idx}")
+        if entry_px <= 0 or exit_px <= 0:
             raise ValueError("trade prices must be positive")
+        return super().__new__(cls, direction, entry_idx, entry_px, exit_idx, exit_px, ret, win)
 
 
 @dataclass(frozen=True)
@@ -70,10 +75,6 @@ class EquityCurve:
 
     def period_returns(self) -> np.ndarray:
         return self.values[1:] / self.values[:-1] - 1.0
-
-
-def _gross(direction: Position, entry_px: float, exit_px: float) -> float:
-    return exit_px / entry_px if direction is Position.LONG else entry_px / exit_px
 
 
 def greedy_path(env: TradingEnv, policy: MlpPolicy) -> list[int]:
@@ -118,25 +119,31 @@ def run_policy(env: TradingEnv, policy: MlpPolicy):
         raise ShapeMismatch(
             f"policy input {policy.input_size} != observation size {env.observation_size}"
         )
+    if policy.output_size != len(Action):
+        raise ShapeMismatch(f"policy output {policy.output_size} != {len(Action)} actions (Sell, Buy)")
     path = greedy_path(env, policy)
     env.replay(path)
-    closes = env.series.closes().tolist()
-    commission = env.config.commission
-    trades: list[Trade] = []
-    entry_idx, direction = env.start_cursor, Position.SHORT
-    for flip_at, side in enumerate(path, start=entry_idx):
-        if side == direction:
-            continue
-        if flip_at > entry_idx:
-            entry_px, exit_px = closes[entry_idx], closes[flip_at]
-            ret = _gross(direction, entry_px, exit_px) * (1.0 - commission) - 1.0
-            trades.append(Trade(direction, entry_idx, entry_px, flip_at, exit_px, ret, ret > 0.0))
-        direction, entry_idx = Position.LONG if side else Position.SHORT, flip_at
-    last_idx = env.cursor
-    if last_idx > entry_idx:
-        entry_px, exit_px = closes[entry_idx], closes[last_idx]
-        ret = _gross(direction, entry_px, exit_px) - 1.0
-        trades.append(Trade(direction, entry_idx, entry_px, last_idx, exit_px, ret, ret > 0.0))
+    start, last = env.start_cursor, env.cursor
+    sides = np.array(path, dtype=np.intp)
+    # The position is Short before the first step; a segment runs from one
+    # flip bar (or the start) to the next (or the last bar), and the only
+    # empty one is the Short segment a flip on the first bar closes.
+    flips = np.flatnonzero(np.diff(sides, prepend=Position.SHORT))
+    bounds = np.concatenate(([start], flips + start, [last]))
+    directions = np.concatenate(([Position.SHORT], sides[flips]))
+    kept = bounds[1:] > bounds[:-1]
+    entries, exits, directions = bounds[:-1][kept], bounds[1:][kept], directions[kept]
+    closes = env.series.closes()
+    entry_px, exit_px = closes[entries], closes[exits]
+    if (entry_px <= 0.0).any() or (exit_px <= 0.0).any():
+        raise ValueError("trade prices must be positive")
+    # Elementwise float64 operations round as Python floats do; the segment
+    # force-closed at the last bar pays no commission (x * 1.0 == x).
+    gross = np.where(directions == Position.LONG, exit_px / entry_px, entry_px / exit_px)
+    ret = gross * np.where(exits == last, 1.0, 1.0 - env.config.commission) - 1.0
+    columns = (map(_SIDE_AFTER.__getitem__, directions.tolist()), entries.tolist(), entry_px.tolist(),
+               exits.tolist(), exit_px.tolist(), ret.tolist(), (ret > 0.0).tolist())
+    trades = list(map(Trade._make, zip(*columns)))
     curve = EquityCurve(np.array([env.config.initial_cash, *env.ledger.equity]))
     return env.ledger, curve, trades
 
@@ -245,36 +252,46 @@ def _equity_svg(curve: EquityCurve, trades: list[Trade], start_cursor: int,
     # as Python floats do, so every point keeps its bytes.
     xs = (pad + (width - 2 * pad) * (np.arange(n) / max(n - 1, 1))).tolist()
     ys = ((height - pad) - (height - 2 * pad) * ((values - lo) / span)).tolist()
-    points = " ".join(map("{:.2f},{:.2f}".format, xs, ys))
+    points = list(map("{:.2f},{:.2f}".format, xs, ys))
     markers = []
     for trade in trades:
-        i = trade.entry_idx - start_cursor
-        i = min(max(i, 0), n - 1)
+        # A marker sits on its entry bar's point and reuses that point's text.
+        x, y = points[min(max(trade.entry_idx - start_cursor, 0), n - 1)].split(",")
         color = "#2a7" if trade.direction is Position.LONG else "#c33"
-        markers.append(f'<circle cx="{xs[i]:.2f}" cy="{ys[i]:.2f}" r="3" fill="{color}"/>')
+        markers.append(f'<circle cx="{x}" cy="{y}" r="3" fill="{color}"/>')
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
         f'<rect width="{width}" height="{height}" fill="white"/>'
-        f'<polyline fill="none" stroke="#246" stroke-width="1.5" points="{points}"/>'
+        f'<polyline fill="none" stroke="#246" stroke-width="1.5" points="{" ".join(points)}"/>'
         + "".join(markers)
         + "</svg>"
     )
 
 
-def _trades_csv(trades: list[Trade]) -> str:
-    """trades.csv, formatted a column at a time with ``repr`` floats."""
-    def column(name):
-        return map(attrgetter(name), trades)
+def _trades_csv(trades: list[Trade], price_text: dict[float, str]) -> str:
+    """trades.csv, one format per row. A price takes its text from ``price_text``
+    when an equal price is there and is formatted with ``repr`` otherwise."""
+    if not trades:
+        return TRADES_HEADER + "\n"
+    directions, entries, entry_px, exits, exit_px, rets, wins = zip(*trades)
 
-    rows = zip(column("direction.name"), map(str, column("entry_idx")), map(repr, column("entry_px")),
-               map(str, column("exit_idx")), map(repr, column("exit_px")), map(repr, column("ret")),
-               map(str, map(int, column("win"))))
-    return "\n".join([TRADES_HEADER, *map(",".join, rows), ""])
+    def prices(column):
+        return [price_text.get(price) or repr(price) for price in column]
+
+    rows = map(",".join, zip([d.name for d in directions], map(str, entries), prices(entry_px),
+                             map(str, exits), prices(exit_px), map(repr, rets), map(_BITS.__getitem__, wins)))
+    return "\n".join([TRADES_HEADER, *rows, ""])
 
 
 def render_report(report: PerformanceReport, ledger: EpisodeLedger, curve: EquityCurve,
                   trades: list[Trade], out_dir: str | Path, start_cursor: int = 0) -> dict[str, Path]:
-    """Write report.json, equity.csv, trades.csv, ledger.csv and equity.svg."""
+    """Write report.json, equity.csv, trades.csv, ledger.csv and equity.svg.
+
+    Each shared number is formatted once. The curve's text fills the ledger's
+    equity column when ``curve.values[1:]`` equals it, and a trade's price
+    reuses the text of an equal ledger price. Keying text by value is exact
+    for these positive columns: the only equal floats whose ``repr`` differs
+    are 0.0 and -0.0."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -284,13 +301,17 @@ def render_report(report: PerformanceReport, ledger: EpisodeLedger, curve: Equit
         "ledger": out / "ledger.csv",
         "svg": out / "equity.svg",
     }
+    values = curve.values.tolist()
+    value_text = list(map(repr, values))
+    price_text = list(map(repr, ledger.prices))
     with atomic_open(paths["report"]) as handle:
         handle.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     with atomic_open(paths["equity"]) as handle:
-        handle.write("".join(["step,equity\n", *map("{},{!r}\n".format, range(len(curve)), curve.values.tolist())]))
+        handle.write("\n".join(["step,equity", *map(",".join, zip(map(str, range(len(values))), value_text)), ""]))
     with atomic_open(paths["trades"]) as handle:
-        handle.write(_trades_csv(trades))
-    ledger.to_csv(paths["ledger"])
+        handle.write(_trades_csv(trades, dict(zip(ledger.prices, price_text))))
+    with atomic_open(paths["ledger"], newline="") as handle:
+        handle.write(ledger.csv_text(price_text, value_text[1:] if values[1:] == ledger.equity else None))
     with atomic_open(paths["svg"]) as handle:
         handle.write(_equity_svg(curve, trades, start_cursor))
     return paths

@@ -40,6 +40,8 @@ class Position(IntEnum):
 # the second is also the member for each position value.
 _ACTIONS = {int(a): a for a in Action}
 _SIDE_AFTER = (Position.SHORT, Position.LONG)
+# The text of a 0/1 column's values, by lookup.
+_BITS = ("0", "1")
 
 
 class RewardKind(str, Enum):
@@ -59,11 +61,11 @@ class EnvConfig:
 
     def __post_init__(self):
         if self.window_size < 1:
-            raise SchemaError("window_size", f"must be >= 1, got {self.window_size}")
+            raise SchemaError("window_size", f"must be >= 1, got {self.window_size!r:.40}")
         if not 0.0 <= self.commission < 1.0:
-            raise SchemaError("commission", f"must be in [0, 1), got {self.commission}")
+            raise SchemaError("commission", f"must be in [0, 1), got {self.commission!r:.40}")
         if self.initial_cash <= 0.0:
-            raise SchemaError("initial_cash", f"must be > 0, got {self.initial_cash}")
+            raise SchemaError("initial_cash", f"must be > 0, got {self.initial_cash!r:.40}")
 
 
 @dataclass(frozen=True)
@@ -144,13 +146,18 @@ class EpisodeLedger:
     def equities(self) -> np.ndarray:
         return np.array(self.equity, dtype=float)
 
+    def csv_text(self, prices: list[str] | None = None, equity: list[str] | None = None) -> str:
+        """The ledger as CSV text, with ``\\r\\n`` line ends and ``repr`` floats.
+        ``prices`` and ``equity`` are those columns' ``repr`` texts, when the
+        caller has already formatted them."""
+        rows = map(",".join, zip(map(str, range(1, len(self) + 1)), map(_BITS.__getitem__, self.actions),
+                                 map(_BITS.__getitem__, self.positions), prices or map(repr, self.prices),
+                                 map(repr, self.rewards), equity or map(repr, self.equity)))
+        return "\r\n".join(["step,action,position,price,reward,equity", *rows, ""])
+
     def to_csv(self, path: str | Path) -> None:
-        """CSV with ``\\r\\n`` line ends and ``repr`` floats."""
-        rows = map(",".join, zip(map(str, range(1, len(self) + 1)), map(str, self.actions),
-                                 map(str, self.positions), map(repr, self.prices),
-                                 map(repr, self.rewards), map(repr, self.equity)))
         with atomic_open(path, newline="") as handle:
-            handle.write("\r\n".join(["step,action,position,price,reward,equity", *rows, ""]))
+            handle.write(self.csv_text())
 
 
 def reward_immediate(position: Position, p_prev: float, p_curr: float) -> float:

@@ -582,7 +582,11 @@ def o_corr_matrix(common, kinds):
 def o_run_policy(env, policy):
     from quantrl.agents.common import RowBlocks
     from quantrl.agents.mlp import mlp_forward
-    from quantrl.backtest import BACKTEST_BLOCK_ROWS, EquityCurve, Trade, _gross
+    from quantrl.backtest import BACKTEST_BLOCK_ROWS, EquityCurve, Trade
+    from quantrl.trading_env import Position
+
+    def _gross(direction, entry_px, exit_px):
+        return exit_px / entry_px if direction is Position.LONG else entry_px / exit_px
 
     env.reset()
     commission = env.config.commission

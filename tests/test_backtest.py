@@ -309,6 +309,36 @@ def test_render_report_bytes_equal_row_wise_formatting(tmp_path, n, seed):
         assert paths[name].read_bytes() == data, name
 
 
+@pytest.mark.parametrize("case", ["prices_not_closes", "curve_not_ledger", "entry_at_start", "no_trades"])
+def test_render_report_cases_equal_row_wise_formatting(tmp_path, case):
+    """The shared-text shortcuts fall back to formatting on their own: a trade
+    price that is no ledger price, a curve whose tail is not the ledger's equity,
+    the entry close at start_cursor (never a ledger price) and no trades."""
+    env = build_env(n=120, seed=14, commission=0.001)
+    rng = np.random.default_rng(14)
+    policy = MlpPolicy([rng.normal(0.0, 1.0, (env.observation_size, 2))], [np.zeros(2)])
+    ledger, curve, trades = run_policy(env, policy)
+    if case == "prices_not_closes":
+        trades = [Trade(t.direction, t.entry_idx, t.entry_px * 1.001, t.exit_idx, t.exit_px + 0.25, t.ret, t.win)
+                  for t in trades]
+        assert not {t.entry_px for t in trades} & set(ledger.prices)
+    elif case == "curve_not_ledger":
+        values = curve.values.copy()
+        values[len(values) // 2] = np.nextafter(values[len(values) // 2], np.inf)
+        curve = EquityCurve(values)
+    elif case == "entry_at_start":
+        ledger, curve, trades = run_policy(env, constant_policy(env.observation_size, 1.0))
+        assert trades[0].entry_idx == env.start_cursor
+        assert trades[0].entry_px not in ledger.prices
+    else:
+        trades = []
+    paths = render_report(compute_report(curve, trades), ledger, curve, trades, tmp_path, env.start_cursor)
+    for name, data in _row_wise_bundle(ledger, curve, trades, env.start_cursor).items():
+        assert paths[name].read_bytes() == data, name
+    assert paths["ledger"].read_bytes() == oracles.o_ledger_csv(ledger.records).encode()
+    assert paths["trades"].read_bytes() == oracles.o_trades_csv(trades).encode()
+
+
 @functools.cache
 def _grid_data():
     series = random_walk_series(600, seed=8)
@@ -354,6 +384,8 @@ def test_run_policy_bit_equal_to_per_bar_backtest(tmp_path, reward_kind, commiss
         assert path.read_bytes() == o_paths[name].read_bytes(), name
     assert paths["ledger"].read_bytes() == oracles.o_ledger_csv(o_ledger.records).encode()
     assert paths["trades"].read_bytes() == oracles.o_trades_csv(o_trades).encode()
+    for name, data in _row_wise_bundle(o_ledger, o_curve, o_trades, reference.start_cursor).items():
+        assert paths[name].read_bytes() == data, name
 
 
 @pytest.mark.parametrize("flag", [True, False])

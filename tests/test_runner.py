@@ -8,7 +8,7 @@ import pytest
 import quantrl.runner.manifest as manifest_module
 from conftest import random_walk_series
 from quantrl import IndicatorSpec, NormalizationKind, RewardKind, compute_feature_matrix, save_csv
-from quantrl.agents import TrainingLog, TrainingRecord
+from quantrl.agents import TrainingLog, TrainingRecord, init_mlp, save_policy
 from quantrl.atomic import atomic_open
 from quantrl.errors import SchemaError
 from quantrl.runner import config_hash, load_config, resolve_config
@@ -233,6 +233,35 @@ def test_cli_dqn_buffer_larger_than_training_trains(tmp_path, data_csv, capsys):
     assert (tmp_path / "huge" / "policy.bin").read_bytes() == (tmp_path / "small" / "policy.bin").read_bytes()
 
 
+@pytest.mark.parametrize("agent, key", [
+    ({"algorithm": "DQN", "buffer_size": 10**18}, "buffer_size"),
+    ({"algorithm": "A2C", "n_steps": 10**18}, "n_steps"),
+    ({"algorithm": "PPO", "n_steps": 10**18}, "n_steps"),
+], ids=["DQN", "A2C", "PPO"])
+def test_cli_unallocatable_buffer_is_config_error(tmp_path, data_csv, capsys, agent, key):
+    """A replay ring or rollout numpy cannot allocate names its key. Only sizes
+    far past any address space are used: a smaller one may be mapped lazily and
+    would then train for a very long time."""
+    cfg = write_config(tmp_path, data_csv, agent={**agent, "total_timesteps": 10**18})
+    assert cli(["train", "--config", str(cfg)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["type"]) == ("config", "SchemaError")
+    assert payload["message"].startswith(f"agent.{key}: ")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("agent", "batch_size", 10**400), ("agent", "n_epochs", -(10**400)), ("agent", "optimizer", "x" * 1000),
+    ("env", "window_size", -(10**400)),
+], ids=["batch_size", "n_epochs", "optimizer", "window_size"])
+def test_range_fault_message_is_bounded(section, key, value):
+    with pytest.raises(SchemaError) as err:
+        resolve_config({section: {key: value}})
+    assert err.value.key == f"{section}.{key}"
+    assert len(str(err.value)) < 120
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("env", "initial_cash", float("inf")), ("env", "commission", float("nan")),
     ("agent", "value_coef", 10**400), ("agent", "gae_lambda", float("-inf")),
@@ -336,6 +365,19 @@ def test_cli_stoch_k_d_period_is_config_error(tmp_path, data_csv, capsys):
 
 def test_cli_unknown_flag_rejected():
     assert cli(["train", "--config", "x.json", "--bogus"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("outputs", [1, 3])
+def test_cli_backtest_refuses_policy_output_width(tmp_path, data_csv, capsys, outputs):
+    cfg = write_config(tmp_path, data_csv)
+    policy = tmp_path / "policy.bin"
+    # window 3 x (SMA, RSI) + the position flag: the input width fits, the output does not
+    save_policy(init_mlp([7, 8, outputs], np.random.default_rng(0)), policy)
+    assert cli(["backtest", "--config", str(cfg), "--policy", str(policy)]) == EXIT_RUNTIME
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["type"], payload["message"]) == ("ShapeMismatch", f"policy output {outputs} != 2 actions (Sell, Buy)")
 
 
 def test_cli_missing_data_file(tmp_path):
