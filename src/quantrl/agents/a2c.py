@@ -10,7 +10,7 @@ import numpy as np
 from ..errors import SchemaError, TrainingDiverged
 from .common import Hyperparams, RowBlocks, TrainingLog, TrainingRecord
 from .losses import policy_gradient_loss, value_loss
-from .mlp import MlpPolicy, Workspace, init_mlp, mlp_forward, softmax, softmax_pair
+from .mlp import MlpPolicy, Workspace, init_mlp, mlp_forward, softmax
 from .optim import make_optimizer
 
 
@@ -52,15 +52,15 @@ def sample_action(actor: MlpPolicy, obs: np.ndarray, rng: np.random.Generator) -
     by the last entry, searchsorted right), so actions and generator state match
     it draw for draw. Raises ValueError when the probabilities are not finite.
     """
-    p0, p1 = softmax_pair(mlp_forward(actor, obs)).tolist()
-    threshold = p0 / (p0 + p1)
+    threshold = float(sell_thresholds(actor, obs[None])[0])
     if math.isnan(threshold):
-        raise ValueError(f"action probabilities ({p0}, {p1}) are not finite")
+        raise ValueError("action probabilities are not finite")
     return int(rng.random() >= threshold)
 
 
 def sell_thresholds(actor: MlpPolicy, rows: np.ndarray) -> np.ndarray:
-    """``sample_action``'s threshold p0 / (p0 + p1) for each observation row."""
+    """Per observation row, the threshold p0 / (p0 + p1) of softmax(actor(row)):
+    a draw u in [0, 1) picks Buy (1) when u >= threshold."""
     probs = softmax(mlp_forward(actor, rows))
     return probs[:, 0] / (probs[:, 0] + probs[:, 1])
 

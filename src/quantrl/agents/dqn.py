@@ -65,13 +65,18 @@ class DqnTrainer:
         # differently from the same rows in a per-batch forward pass.
         self.observations = np.pad(table, ((0, -len(table) % 8), (0, 0)))
         self.next_q_max = self._target_q_max()
-        # The ring never holds more than total_timesteps transitions.
+        # The ring never holds more than total_timesteps transitions, so a larger
+        # batch is never sampled. numpy refuses an array too large with
+        # MemoryError or ValueError.
         try:
             self.buffer = ReplayBuffer(min(hyperparams.buffer_size, hyperparams.total_timesteps))
-        except (MemoryError, ValueError) as exc:  # numpy's refusals of an array too large
+        except (MemoryError, ValueError) as exc:
             raise SchemaError("agent.buffer_size", f"the replay ring cannot be allocated: {exc}") from exc
+        try:
+            self.workspace = Workspace(self.policy, min(hyperparams.batch_size, hyperparams.total_timesteps))
+        except (MemoryError, ValueError) as exc:
+            raise SchemaError("agent.batch_size", f"the learn-step workspace cannot be allocated: {exc}") from exc
         self.optimizer = make_optimizer(hyperparams.optimizer, hyperparams.learning_rate)
-        self.workspace = Workspace(self.policy, hyperparams.batch_size)
         self.log = TrainingLog()
         self.step_count = 0
         self.last_loss = float("nan")

@@ -192,11 +192,3 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
-
-def softmax_pair(logits: np.ndarray) -> np.ndarray:
-    """softmax of one pair of logits: softmax's float operations without its
-    axis reductions, so equal to it bit for bit, in about a third of the time."""
-    l0, l1 = logits.tolist()
-    shifted = logits - (l0 if l0 > l1 else l1)
-    e0, e1 = np.exp(shifted).tolist()
-    return np.exp(shifted - np.log(e0 + e1))

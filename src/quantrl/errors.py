@@ -78,7 +78,7 @@ class BufferTooSmall(QuantrlError):
 
 
 class CorruptFile(QuantrlError):
-    """Policy file failed magic/version/length validation."""
+    """A policy file failed magic/version/length validation, or a report file is not a report."""
 
 
 class TooFewSamples(QuantrlError):

@@ -13,10 +13,10 @@ and the five OHLCV fields as rows of one float64 array, all read-only.
 from __future__ import annotations
 
 import csv
-import math
 import re
 from dataclasses import dataclass
 from datetime import date
+from functools import reduce
 from itertools import chain, islice
 from pathlib import Path
 
@@ -47,36 +47,31 @@ class Bar:
     volume: float
 
 
-def bar_rule_violation(bar: Bar) -> str | None:
-    """Return the violated invariant rule for ``bar``, or None if valid."""
-    values = (bar.open, bar.high, bar.low, bar.close, bar.volume)
-    if not all(math.isfinite(v) for v in values):
-        return "non-finite field"
-    if min(bar.open, bar.high, bar.low, bar.close) <= 0:
-        return "price not strictly positive"
-    if bar.volume < 0:
-        return "negative volume"
-    if bar.low > min(bar.open, bar.close):
-        return "low above min(open, close)"
-    if bar.high < max(bar.open, bar.close):
-        return "high below max(open, close)"
-    if bar.low > bar.high:
-        return "low above high"
-    return None
+# The bar rules in the order they are checked: (rule, mask over the (5, n)
+# open/high/low/close/volume rows, or one (5,) bar, True where it is broken).
+BAR_RULES = (
+    ("non-finite field", lambda v: ~np.isfinite(v).all(axis=0)),
+    ("price not strictly positive", lambda v: np.minimum(np.minimum(v[0], v[1]), np.minimum(v[2], v[3])) <= 0),
+    ("negative volume", lambda v: v[4] < 0),
+    ("low above min(open, close)", lambda v: v[2] > np.minimum(v[0], v[3])),
+    ("high below max(open, close)", lambda v: v[1] < np.maximum(v[0], v[3])),
+    ("low above high", lambda v: v[2] > v[1]),
+)
 
 
 def rule_mask(values: np.ndarray) -> np.ndarray:
-    """Per bar of the (5, n) open/high/low/close/volume rows: True where
-    ``bar_rule_violation`` names a rule."""
-    o, h, lo, c, v = values
-    return (
-        ~np.isfinite(values).all(axis=0)
-        | (np.minimum(np.minimum(o, h), np.minimum(lo, c)) <= 0)
-        | (v < 0)
-        | (lo > np.minimum(o, c))
-        | (h < np.maximum(o, c))
-        | (lo > h)
-    )
+    """Per bar of the (5, n) open/high/low/close/volume rows: True where a rule is broken."""
+    return reduce(np.logical_or, (broken(values) for _, broken in BAR_RULES))
+
+
+def _broken_rule(values: np.ndarray) -> str | None:
+    """The first rule the (5,) open/high/low/close/volume bar breaks, or None."""
+    return next((rule for rule, broken in BAR_RULES if broken(values)), None)
+
+
+def bar_rule_violation(bar: Bar) -> str | None:
+    """Return the violated invariant rule for ``bar``, or None if valid."""
+    return _broken_rule(np.array([getattr(bar, f) for f in _FIELDS], dtype=float))
 
 
 def _ordinals(days) -> np.ndarray:
@@ -108,7 +103,7 @@ class OhlcvSeries:
         bad = _invalid_rows(dates, values)
         if bad.any():
             i = int(bad.argmax())
-            rule = bar_rule_violation(bars[i])
+            rule = _broken_rule(values[:, i])
             if rule is not None:
                 raise InvariantViolation(None, f"bar {i} ({bars[i].timestamp}): {rule}")
             raise InvariantViolation(None, f"bar {i}: timestamps not strictly increasing")

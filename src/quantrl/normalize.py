@@ -198,9 +198,6 @@ class CorrelationMatrix:
         if values.min() < -1.0 or values.max() > 1.0:
             raise ValueError("entries outside [-1, 1]")
 
-    def entry(self, a: str, b: str) -> float:
-        return float(self.values[self.names.index(a), self.names.index(b)])
-
     def to_csv(self, path: str | Path) -> None:
         with atomic_open(path, newline="") as handle:
             writer = csv.writer(handle)

@@ -12,13 +12,14 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from datetime import timedelta
 from pathlib import Path
 
 from .. import __version__
 from ..agents import a2c_train, dqn_train, load_policy, ppo_train, save_policy
 from ..atomic import atomic_open
-from ..backtest import compute_report, render_report, run_policy
+from ..backtest import PerformanceReport, compute_report, render_report, run_policy
 from ..errors import (
     CorruptFile, EmptySeries, InvariantViolation, MalformedRow, NonPositiveValue, PeriodTooLong, SchemaError,
     SeriesTooShort,
@@ -37,10 +38,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
-REPORT_FIELDS = (
-    "return_pct", "return_ann_pct", "vol_ann_pct", "sharpe", "sortino",
-    "calmar", "win_rate_pct", "n_trades", "max_drawdown_pct",
-)
+REPORT_FIELDS = tuple(field.name for field in fields(PerformanceReport))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,34 +189,32 @@ def _cmd_backtest(args) -> int:
     return EXIT_OK
 
 
-def _format_table(rows: list[tuple[str, ...]]) -> str:
+def _read_report(path: str) -> PerformanceReport:
+    """A saved report.json; CorruptFile unless it is one object holding exactly the report's metrics."""
+    try:
+        return PerformanceReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, TypeError) as exc:  # bad JSON or UTF-8 is a ValueError; a wrong shape, a TypeError
+        raise CorruptFile(f"{path}: not a report: {exc}") from None
+
+
+def _print_reports(columns: list[tuple[str, PerformanceReport]]) -> list[tuple[str, ...]]:
+    """Print the metrics as a table with one column per (heading, report); return its rows."""
+    rows = [("metric", *(heading for heading, _ in columns))]
+    for key in REPORT_FIELDS:
+        values = (getattr(report, key) for _, report in columns)
+        rows.append((key, *(f"{v:.6f}" if isinstance(v, float) else str(v) for v in values)))
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows)
+    print("\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows))
+    return rows
 
 
 def _cmd_report(args) -> int:
-    data = json.loads(Path(args.report).read_text())
-    rows = [("metric", "value")]
-    for key in REPORT_FIELDS:
-        value = data.get(key)
-        rows.append((key, f"{value:.6f}" if isinstance(value, float) else str(value)))
-    print(_format_table(rows))
+    _print_reports([("value", _read_report(args.report))])
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    reports = []
-    for path in args.reports:
-        data = json.loads(Path(path).read_text())
-        reports.append((Path(path).parent.name or path, data))
-    rows = [("metric", *[name for name, _ in reports])]
-    for key in REPORT_FIELDS:
-        row = [key]
-        for _, data in reports:
-            value = data.get(key)
-            row.append(f"{value:.6f}" if isinstance(value, float) else str(value))
-        rows.append(tuple(row))
-    print(_format_table(rows))
+    rows = _print_reports([(Path(path).parent.name or path, _read_report(path)) for path in args.reports])
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

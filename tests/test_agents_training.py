@@ -28,7 +28,6 @@ from quantrl.agents import (
     value_loss,
 )
 from quantrl.agents.a2c import train_on_policy
-from quantrl.agents.mlp import softmax_pair
 from quantrl.errors import BufferTooSmall, CorruptFile, TrainingDiverged
 
 
@@ -396,11 +395,6 @@ def logit_pairs(seed: int = 0) -> np.ndarray:
     ])
 
 
-def test_softmax_pair_equals_softmax_bit_for_bit():
-    for logits in logit_pairs():
-        assert softmax_pair(logits).tobytes() == softmax(logits).tobytes(), logits
-
-
 def test_sample_action_matches_generator_choice(monkeypatch):
     monkeypatch.setattr(a2c_module, "mlp_forward", lambda actor, obs: obs)
     ours, reference = np.random.default_rng(11), np.random.default_rng(11)
@@ -502,7 +496,7 @@ def test_block_thresholds_match_per_row_rule(monkeypatch, flag):
     init_mlp([env.observation_size, *hp.hidden_sizes, 1], rng)
     assert len(looked_up) == len(actions) == len(env.acted) == 400
     for step, (obs, threshold, action) in enumerate(zip(env.acted, looked_up, actions)):
-        p0, p1 = softmax_pair(mlp_forward(actors[step // hp.n_steps], obs)).tolist()
+        p0, p1 = softmax(mlp_forward(actors[step // hp.n_steps], obs[None]))[0].tolist()
         assert abs(threshold - p0 / (p0 + p1)) <= 1e-15
         assert action == int(rng.random() >= threshold)
     assert set(actions) == {0, 1}

@@ -186,15 +186,19 @@ def test_unreadable_line_is_data_error(tmp_path, capsys, fault):
 
 def test_rule_mask_agrees_with_bar_rule_violation():
     """Every bar over edge values in each field: equal OHLC, zero volume, zero,
-    signed-zero and negative prices, NaN and +-inf."""
+    signed-zero and negative prices, NaN and +-inf. Both functions read one rule
+    table, so the oracle's scalar rules are the independent reference."""
     import itertools
 
+    from oracles import o_bar_rule
     from quantrl.market_data import rule_mask
 
     edges = [0.5, 1.0, 2.0, 0.0, -0.0, -1.0, float("nan"), float("inf"), float("-inf")]
     bars = list(itertools.product(edges, repeat=5))
     mask = rule_mask(np.array(bars).T.copy())
-    expected = [bar_rule_violation(Bar(date(2020, 1, 1), *bar)) is not None for bar in bars]
+    rules = [bar_rule_violation(Bar(date(2020, 1, 1), *bar)) for bar in bars]
+    assert rules == [o_bar_rule(*bar) for bar in bars]
+    expected = [rule is not None for rule in rules]
     assert mask.tolist() == expected
     assert 0 < sum(expected) < len(expected)
 

@@ -233,6 +233,17 @@ def test_cli_dqn_buffer_larger_than_training_trains(tmp_path, data_csv, capsys):
     assert (tmp_path / "huge" / "policy.bin").read_bytes() == (tmp_path / "small" / "policy.bin").read_bytes()
 
 
+def test_cli_dqn_batch_larger_than_training_trains(tmp_path, data_csv):
+    """A batch larger than total_timesteps (300) is never sampled, so the learn-step
+    workspace holds at most 300 rows: a batch_size that could never be allocated
+    trains like any other batch over 300 steps, and neither ever learns."""
+    cfg = write_config(tmp_path, data_csv, agent={"buffer_size": 10**18, "batch_size": 10**18})
+    assert cli(["train", "--config", str(cfg), "--out", str(tmp_path / "huge")]) == EXIT_OK
+    cfg = write_config(tmp_path, data_csv, agent={"buffer_size": 301, "batch_size": 301})
+    assert cli(["train", "--config", str(cfg), "--out", str(tmp_path / "small")]) == EXIT_OK
+    assert (tmp_path / "huge" / "policy.bin").read_bytes() == (tmp_path / "small" / "policy.bin").read_bytes()
+
+
 @pytest.mark.parametrize("agent, key", [
     ({"algorithm": "DQN", "buffer_size": 10**18}, "buffer_size"),
     ({"algorithm": "A2C", "n_steps": 10**18}, "n_steps"),
@@ -585,6 +596,88 @@ def test_cli_report_and_compare(tmp_path, data_csv, capsys):
     lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
     assert lines[0].startswith("metric,")
     assert len(lines) == 10
+
+
+PINNED_REPORTS = {
+    "a": {"return_pct": -3.25, "return_ann_pct": -12.5, "vol_ann_pct": 20.1234567, "sharpe": -0.5, "sortino": 0.0,
+          "calmar": 1e-07, "win_rate_pct": 50.0, "n_trades": 4, "max_drawdown_pct": 7.0},
+    "long_run": {"return_pct": 12.0, "return_ann_pct": 100.25, "vol_ann_pct": 0.0, "sharpe": 1.75, "sortino": -2.0,
+                 "calmar": 0.0, "win_rate_pct": 0.0, "n_trades": 0, "max_drawdown_pct": 0.0},
+}
+
+
+def write_reports(tmp_path) -> list[str]:
+    paths = []
+    for name, report in PINNED_REPORTS.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "report.json").write_text(json.dumps(report))
+        paths.append(str(tmp_path / name / "report.json"))
+    return paths
+
+
+def test_cli_report_and_compare_bytes_are_pinned(tmp_path, capsys):
+    paths = write_reports(tmp_path)
+    assert cli(["report", paths[0]]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "metric            value\n"
+        "return_pct        -3.250000\n"
+        "return_ann_pct    -12.500000\n"
+        "vol_ann_pct       20.123457\n"
+        "sharpe            -0.500000\n"
+        "sortino           0.000000\n"
+        "calmar            0.000000\n"
+        "win_rate_pct      50.000000\n"
+        "n_trades          4\n"
+        "max_drawdown_pct  7.000000\n"
+    )
+    out = tmp_path / "cmp"
+    assert cli(["compare", *paths, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "metric            a           long_run\n"
+        "return_pct        -3.250000   12.000000\n"
+        "return_ann_pct    -12.500000  100.250000\n"
+        "vol_ann_pct       20.123457   0.000000\n"
+        "sharpe            -0.500000   1.750000\n"
+        "sortino           0.000000    -2.000000\n"
+        "calmar            0.000000    0.000000\n"
+        "win_rate_pct      50.000000   0.000000\n"
+        "n_trades          4           0\n"
+        "max_drawdown_pct  7.000000    0.000000\n"
+        f"wrote {out / 'compare.csv'}\n"
+    )
+    assert (out / "compare.csv").read_bytes() == (
+        b"metric,a,long_run\n"
+        b"return_pct,-3.250000,12.000000\n"
+        b"return_ann_pct,-12.500000,100.250000\n"
+        b"vol_ann_pct,20.123457,0.000000\n"
+        b"sharpe,-0.500000,1.750000\n"
+        b"sortino,0.000000,-2.000000\n"
+        b"calmar,0.000000,0.000000\n"
+        b"win_rate_pct,50.000000,0.000000\n"
+        b"n_trades,4,0\n"
+        b"max_drawdown_pct,7.000000,0.000000\n"
+    )
+
+
+@pytest.mark.parametrize("content", [
+    b"{not json", b"[1, 2]", b'{"sharpe": 1.5}', b'{"sharpe": 1.5\xff}',
+    json.dumps({**PINNED_REPORTS["a"], "alpha": 1.0}).encode(),
+], ids=["bad-json", "not-an-object", "missing-metrics", "bad-utf8", "unknown-metric"])
+@pytest.mark.parametrize("command", ["report", "compare"])
+def test_cli_corrupt_report_is_data_error(tmp_path, capsys, command, content):
+    """compare reads every report before it prints, so a corrupt second report prints no table."""
+    path = tmp_path / "corrupt" / "report.json"
+    path.parent.mkdir()
+    path.write_bytes(content)
+    argv = ["report", str(path)] if command == "report" else ["compare", write_reports(tmp_path)[0], str(path)]
+    assert cli(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["type"]) == ("data", "CorruptFile")
+    assert payload["message"].startswith(f"{path}: ")
 
 
 # --- atomic artifact writes -------------------------------------------------------
