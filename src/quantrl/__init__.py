@@ -28,7 +28,6 @@ from .trading_env import (
     Action,
     EnvConfig,
     EpisodeLedger,
-    ObservationWindow,
     Position,
     RewardKind,
     StepResult,
@@ -71,7 +70,7 @@ __all__ = [
     "Action", "ActorCritic", "Bar", "CorrelationMatrix", "EnvConfig",
     "EpisodeLedger", "EquityCurve", "FeatureColumn", "FeatureMatrix",
     "Hyperparams", "IndicatorSpec", "MlpPolicy", "NormalizationKind",
-    "NormalizationStats", "ObservationWindow", "OhlcvSeries",
+    "NormalizationStats", "OhlcvSeries",
     "PerformanceReport", "Position", "ReplayBuffer", "RewardKind",
     "StepResult", "Trade", "TradingEnv", "TrainingLog",
     "a2c_train", "annualize", "calmar", "compute_feature_matrix",

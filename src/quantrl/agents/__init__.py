@@ -5,7 +5,6 @@ from .common import (
     Hyperparams,
     TrainingLog,
     TrainingRecord,
-    Transition,
     epsilon_greedy,
     linear_epsilon,
 )
@@ -18,7 +17,7 @@ from .replay import Batch, ReplayBuffer
 
 __all__ = [
     "ActorCritic", "Batch", "DqnTrainer", "Hyperparams", "MlpPolicy",
-    "ReplayBuffer", "TrainingLog", "TrainingRecord", "Transition",
+    "ReplayBuffer", "TrainingLog", "TrainingRecord",
     "a2c_train", "dqn_train", "epsilon_greedy", "forward_cached",
     "gae_advantages", "init_mlp", "linear_epsilon", "load_policy",
     "log_softmax", "mlp_backward", "mlp_forward", "n_step_returns",

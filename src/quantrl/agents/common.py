@@ -117,17 +117,6 @@ class RowBlocks:
 
 
 @dataclass(frozen=True)
-class Transition:
-    """One env step; a state is a row of the env's observation table."""
-
-    state: int
-    action: int
-    reward: float
-    next_state: int
-    done: bool
-
-
-@dataclass(frozen=True)
 class TrainingRecord:
     timestep: int
     episode_return: float

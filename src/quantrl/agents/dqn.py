@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from ..errors import SchemaError, TrainingDiverged
-from .common import Hyperparams, TrainingLog, TrainingRecord, Transition, exploratory_action, linear_epsilon
+from .common import Hyperparams, TrainingLog, TrainingRecord, exploratory_action, linear_epsilon
 from .mlp import MlpPolicy, Workspace, forward_cached, init_mlp, mlp_backward, mlp_forward
 from .optim import make_optimizer
 from .replay import Batch, ReplayBuffer
@@ -105,7 +105,7 @@ class DqnTrainer:
             action = int(mlp_forward(self.policy, self.observations[self._obs_index]).argmax())
         result = self.env.step(action)
         next_index = self.env.observation_index
-        self.buffer.push(Transition(self._obs_index, action, result.reward, next_index, result.done))
+        self.buffer.push(self._obs_index, action, result.reward, next_index, result.done)
         self._episode_return += result.reward
         self._obs_index = next_index
         self.step_count += 1

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BufferTooSmall
-from .common import Transition
 
 
 @dataclass(frozen=True)
@@ -40,13 +39,13 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return min(self.insertions, self.capacity)
 
-    def push(self, transition: Transition) -> None:
+    def push(self, state: int, action: int, reward: float, next_state: int, done: bool) -> None:
         slot = self.insertions % self.capacity
-        self._states[slot] = transition.state
-        self._actions[slot] = transition.action
-        self._rewards[slot] = transition.reward
-        self._next_states[slot] = transition.next_state
-        self._dones[slot] = transition.done
+        self._states[slot] = state
+        self._actions[slot] = action
+        self._rewards[slot] = reward
+        self._next_states[slot] = next_state
+        self._dones[slot] = done
         self.insertions += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -219,7 +219,15 @@ class PerformanceReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PerformanceReport":
-        return cls(**data)
+        """The report ``to_dict`` gave; TypeError unless ``data`` holds exactly
+        the report's keys, an int or float for each float and an int for
+        ``n_trades`` (a bool is neither)."""
+        report = cls(**data)
+        for field in fields(cls):
+            value = getattr(report, field.name)
+            if type(value) not in ((int, float) if field.type == "float" else (int,)):
+                raise TypeError(f"{field.name}: expected {field.type}, got {value!r:.40}")
+        return report
 
 
 def compute_report(curve: EquityCurve, trades: list[Trade], risk_free: float = 0.0,

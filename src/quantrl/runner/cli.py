@@ -84,10 +84,27 @@ def _effective_config(args) -> ExperimentConfig:
     return cfg
 
 
+class _Unreadable(Exception):
+    """An OSError while reading an input file: a data error that keeps the OS
+    error's type and names the file. One while writing stays a runtime error."""
+
+    def __init__(self, path, error: OSError):
+        super().__init__(f"{path}: {error.strerror or error}")
+        self.error_type = type(error).__name__
+
+
+def _read_input(read, path):
+    """``read(path)``, with an OSError raised as ``_Unreadable``."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise _Unreadable(path, exc) from exc
+
+
 def _load_series(cfg: ExperimentConfig):
     if cfg.data.path is None:
         raise SchemaError("data.path", "this command needs a data file")
-    series = load_csv(cfg.data.path)
+    series = _read_input(load_csv, cfg.data.path)
     if cfg.data.start is not None or cfg.data.end is not None:
         dates = series.dates()
         start = cfg.data.start or dates[0]
@@ -174,7 +191,7 @@ def _cmd_train(args) -> int:
 def _cmd_backtest(args) -> int:
     cfg = _effective_config(args)
     out = _out_dir(cfg)
-    policy = load_policy(Path(args.policy) if args.policy else out / "policy.bin")
+    policy = _read_input(load_policy, Path(args.policy) if args.policy else out / "policy.bin")
     env = _build_env(cfg)
     ledger, curve, trades = run_policy(env, policy)
     report = compute_report(curve, trades)
@@ -190,9 +207,11 @@ def _cmd_backtest(args) -> int:
 
 
 def _read_report(path: str) -> PerformanceReport:
-    """A saved report.json; CorruptFile unless it is one object holding exactly the report's metrics."""
+    """A saved report.json; CorruptFile unless it is one object holding exactly the report's metrics,
+    each of its field's type."""
+    data = _read_input(Path.read_bytes, Path(path))
     try:
-        return PerformanceReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return PerformanceReport.from_dict(json.loads(data.decode("utf-8")))
     except (ValueError, TypeError) as exc:  # bad JSON or UTF-8 is a ValueError; a wrong shape, a TypeError
         raise CorruptFile(f"{path}: not a report: {exc}") from None
 
@@ -236,11 +255,11 @@ _HANDLERS = {
 }
 
 _DATA_ERRORS = (MalformedRow, InvariantViolation, EmptySeries, NonPositiveValue, PeriodTooLong, SeriesTooShort,
-                CorruptFile, FileNotFoundError)
+                CorruptFile)
 
 
-def _emit_error(kind: str, exc: Exception) -> None:
-    line = json.dumps({"error": kind, "type": type(exc).__name__, "message": str(exc)})
+def _emit_error(kind: str, exc: Exception, type_name: str | None = None) -> None:
+    line = json.dumps({"error": kind, "type": type_name or type(exc).__name__, "message": str(exc)})
     print(line, file=sys.stderr)
 
 
@@ -259,6 +278,9 @@ def cli(argv: list[str]) -> int:
         return EXIT_CONFIG
     except _DATA_ERRORS as exc:
         _emit_error("data", exc)
+        return EXIT_DATA
+    except _Unreadable as exc:
+        _emit_error("data", exc, exc.error_type)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - last-resort CLI boundary
         logger.debug("unhandled error", exc_info=True)

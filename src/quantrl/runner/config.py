@@ -233,10 +233,12 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read and resolve a JSON config file."""
     file_path = Path(path)
-    if not file_path.exists():
-        raise SchemaError("<config>", f"config file not found: {file_path}")
     try:
         raw = json.loads(file_path.read_text())
+    except FileNotFoundError:
+        raise SchemaError("<config>", f"config file not found: {file_path}") from None
+    except OSError as exc:  # a directory, no permission
+        raise SchemaError("<config>", f"config file not readable: {file_path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # bad JSON, bad UTF-8, or an integer longer than Python parses
         raise SchemaError("<config>", f"invalid JSON in {file_path}: {exc}") from exc
     return resolve_config(raw)

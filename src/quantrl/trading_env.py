@@ -13,12 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .atomic import atomic_open
 from .errors import NonPositiveEquity, NonPositivePrice, SchemaError, SeriesTooShort, SteppedAfterDone
 from .indicators import FeatureMatrix
 from .market_data import OhlcvSeries
@@ -71,8 +69,9 @@ class EnvConfig:
 @dataclass(frozen=True)
 class ObservationWindow:
     """window_size x n_features block of normalized values, newest row last,
-    plus the optional trailing position flag (0 = Short, 1 = Long). From an
-    env, ``values`` is a read-only view of its window table."""
+    plus the optional trailing position flag (0 = Short, 1 = Long). The env
+    builds none: agents read ``observation_table()`` rows. The benchmark
+    traces ``flatten`` by name, so the class stays until that trace goes."""
 
     values: np.ndarray
     position_flag: float | None = None
@@ -84,10 +83,8 @@ class ObservationWindow:
 
 
 class StepResult(NamedTuple):
-    observation: ObservationWindow
     reward: float
     done: bool
-    info: dict
 
 
 class LedgerRecord(NamedTuple):
@@ -101,36 +98,32 @@ class LedgerRecord(NamedTuple):
 
 class EpisodeLedger:
     """One episode as columns, one entry per step: the action taken (0/1), the
-    position it left (0/1), the close it was marked at, the reward and the
-    equity after it. Steps are numbered from 1. ``TradingEnv.step`` appends one
-    row, ``TradingEnv.replay`` extends every column at once; ``records``
-    builds the rows as ``LedgerRecord``s on access."""
+    close it was marked at, the reward and the equity after it. Steps are
+    numbered from 1. The env is always in the market, so the position an
+    action leaves equals the action's value and is read from ``actions``.
+    ``TradingEnv.step`` appends one row, ``TradingEnv.replay`` extends every
+    column at once; ``records`` builds the rows as ``LedgerRecord``s on access."""
 
-    def __init__(self, initial_cash: float):
-        self.initial_cash = initial_cash
+    def __init__(self):
         self.actions: list[int] = []
-        self.positions: list[int] = []
         self.prices: list[float] = []
         self.rewards: list[float] = []
         self.equity: list[float] = []
 
-    def append(self, action: int, position: int, price: float, reward: float, equity: float) -> None:
+    def append(self, action: int, price: float, reward: float, equity: float) -> None:
         if equity <= 0.0:
             raise NonPositiveEquity(f"step {len(self.equity) + 1}: equity {equity}")
         self.actions.append(action)
-        self.positions.append(position)
         self.prices.append(price)
         self.rewards.append(reward)
         self.equity.append(equity)
 
-    def extend(self, actions: list[int], positions: list[int], prices: list[float],
-               rewards: list[float], equity: list[float]) -> None:
+    def extend(self, actions: list[int], prices: list[float], rewards: list[float], equity: list[float]) -> None:
         """Append several steps; all columns have the same length."""
         if equity and min(equity) <= 0.0:
             bad = next(k for k, value in enumerate(equity) if value <= 0.0)
             raise NonPositiveEquity(f"step {len(self.equity) + bad + 1}: equity {equity[bad]}")
         self.actions += actions
-        self.positions += positions
         self.prices += prices
         self.rewards += rewards
         self.equity += equity
@@ -141,23 +134,16 @@ class EpisodeLedger:
     @property
     def records(self) -> list[LedgerRecord]:
         return list(map(LedgerRecord, range(1, len(self) + 1), map(_ACTIONS.__getitem__, self.actions),
-                        map(_SIDE_AFTER.__getitem__, self.positions), self.prices, self.rewards, self.equity))
-
-    def equities(self) -> np.ndarray:
-        return np.array(self.equity, dtype=float)
+                        map(_SIDE_AFTER.__getitem__, self.actions), self.prices, self.rewards, self.equity))
 
     def csv_text(self, prices: list[str] | None = None, equity: list[str] | None = None) -> str:
         """The ledger as CSV text, with ``\\r\\n`` line ends and ``repr`` floats.
         ``prices`` and ``equity`` are those columns' ``repr`` texts, when the
         caller has already formatted them."""
-        rows = map(",".join, zip(map(str, range(1, len(self) + 1)), map(_BITS.__getitem__, self.actions),
-                                 map(_BITS.__getitem__, self.positions), prices or map(repr, self.prices),
+        sides = list(map(_BITS.__getitem__, self.actions))
+        rows = map(",".join, zip(map(str, range(1, len(self) + 1)), sides, sides, prices or map(repr, self.prices),
                                  map(repr, self.rewards), equity or map(repr, self.equity)))
         return "\r\n".join(["step,action,position,price,reward,equity", *rows, ""])
-
-    def to_csv(self, path: str | Path) -> None:
-        with atomic_open(path, newline="") as handle:
-            handle.write(self.csv_text())
 
 
 def reward_immediate(position: Position, p_prev: float, p_curr: float) -> float:
@@ -220,13 +206,12 @@ class TradingEnv:
         self._flagged = self.config.include_position_flag
         self._reward_kind = self.config.reward_kind
         self._windows = self._window_table(stats)
-        self._blocks = self._windows.reshape(len(self._windows), self.config.window_size, features.width)
         self._cursor = self._start
         self._done = True
         self._position = Position.SHORT
         self._equity = self.config.initial_cash
         self._last_trade_price = self._closes[self._start]
-        self.ledger = EpisodeLedger(initial_cash=self.config.initial_cash)
+        self.ledger = EpisodeLedger()
 
     def _window_table(self, stats: list[NormalizationStats] | None) -> np.ndarray:
         """Read-only table of every cursor's normalized window, flattened row-major,
@@ -297,18 +282,13 @@ class TradingEnv:
         base = self.config.window_size * self.features.width
         return base + 1 if self.config.include_position_flag else base
 
-    def _observe(self) -> ObservationWindow:
-        values = self._blocks[self._cursor - self._start]
-        return ObservationWindow(values, float(self._position) if self._flagged else None)
-
-    def reset(self) -> ObservationWindow:
+    def reset(self) -> None:
         self._cursor = self._start
         self._done = False
         self._position = Position.SHORT
         self._equity = self.config.initial_cash
         self._last_trade_price = float(self._closes[self._start])
-        self.ledger = EpisodeLedger(initial_cash=self.config.initial_cash)
-        return self._observe()
+        self.ledger = EpisodeLedger()
 
     def step(self, action: Action | int) -> StepResult:
         if self._done:
@@ -340,14 +320,8 @@ class TradingEnv:
             reward = flip_reward
         else:
             reward = reward_terminal(self._done, self.config.initial_cash, self._equity)
-        self.ledger.append(int(action), int(position), price_next, reward, self._equity)
-        info = {
-            "equity": self._equity,
-            "position": position,
-            "last_trade_price": self._last_trade_price,
-            "trade_executed": flipped,
-        }
-        return StepResult(self._observe(), reward, self._done, info)
+        self.ledger.append(int(action), price_next, reward, self._equity)
+        return StepResult(reward, self._done)
 
     def replay(self, path) -> None:
         """Take the actions in ``path`` (0 Sell, 1 Buy) as that many ``step``
@@ -392,7 +366,7 @@ class TradingEnv:
                     last_price = price
             elif done:
                 rewards[-1] = reward_terminal(True, self.config.initial_cash, equity[-1])
-        self.ledger.extend(sides, sides, nxt.tolist(), rewards, equity)
+        self.ledger.extend(sides, nxt.tolist(), rewards, equity)
         self._cursor += n
         self._done = done
         self._position = _SIDE_AFTER[sides[-1]]

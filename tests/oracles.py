@@ -2,8 +2,9 @@
 
 Everything here is written directly from the defining formulas with plain
 Python loops and window recomputation - no shared code with the package
-and no incremental shortcuts beyond the definitions themselves. The one
-exception is ``o_run_policy``, which drives the package's env bar by bar.
+and no incremental shortcuts beyond the definitions themselves. The two
+exceptions read the package's env: ``observe``, its current observation,
+and ``o_run_policy``, which drives it bar by bar.
 """
 
 import csv
@@ -573,7 +574,20 @@ def o_corr_matrix(common, kinds):
     return matrix, degenerate
 
 
-# --- the per-bar greedy backtest ---------------------------------------------------
+# --- the env's current observation and the per-bar greedy backtest ----------------
+
+
+def observe(env):
+    """The observation at the env's cursor and position: a read-only view of
+    its window table's row for the cursor, window_size x n_features, plus the
+    position flag when the env has one. Agents read the same values as
+    ``observation_table()`` rows."""
+    from quantrl.trading_env import ObservationWindow
+
+    values = env._windows[env.cursor - env.start_cursor].reshape(env.config.window_size, -1)
+    return ObservationWindow(values, float(env.position) if env.config.include_position_flag else None)
+
+
 # run_policy's body from before action tables and TradingEnv.replay: one env.step,
 # one ledger row and one format per bar. It drives the package's env, since
 # TradingEnv.step stays the reference that replay must equal bit for bit.
@@ -600,7 +614,7 @@ def o_run_policy(env, policy):
     while not done:
         flip_at = env.cursor
         result = env.step(actions.current())
-        if result.info["trade_executed"]:
+        if env.position is not direction:
             exit_px = float(closes[flip_at])
             if flip_at > entry_idx:
                 ret = _gross(direction, entry_px, exit_px) * (1.0 - commission) - 1.0
@@ -613,7 +627,7 @@ def o_run_policy(env, policy):
         exit_px = float(closes[last_idx])
         ret = _gross(direction, entry_px, exit_px) - 1.0
         trades.append(Trade(direction, entry_idx, entry_px, last_idx, exit_px, ret, ret > 0.0))
-    curve = EquityCurve(np.concatenate([[env.config.initial_cash], env.ledger.equities()]))
+    curve = EquityCurve(np.array([env.config.initial_cash, *env.ledger.equity]))
     return env.ledger, curve, trades
 
 

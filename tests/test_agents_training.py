@@ -5,6 +5,7 @@ import pytest
 
 import quantrl.agents.a2c as a2c_module
 from conftest import random_walk_series
+from oracles import observe
 from quantrl import EnvConfig, IndicatorSpec, NormalizationKind, TradingEnv, compute_feature_matrix
 from quantrl.agents import (
     ActorCritic,
@@ -12,7 +13,6 @@ from quantrl.agents import (
     Hyperparams,
     MlpPolicy,
     ReplayBuffer,
-    Transition,
     a2c_train,
     dqn_train,
     gae_advantages,
@@ -28,6 +28,7 @@ from quantrl.agents import (
     value_loss,
 )
 from quantrl.agents.a2c import train_on_policy
+from quantrl.backtest import run_policy
 from quantrl.errors import BufferTooSmall, CorruptFile, TrainingDiverged
 
 
@@ -50,14 +51,15 @@ def tiny_hp(**overrides) -> Hyperparams:
 # --- replay buffer ---------------------------------------------------------------
 
 
-def transition(value: float) -> Transition:
-    return Transition(int(value), 0, value, int(value), False)
+def transition(value: float) -> tuple:
+    """``ReplayBuffer.push``'s arguments: state, action, reward, next state, done."""
+    return int(value), 0, value, int(value), False
 
 
 def test_replay_evicts_oldest():
     buf = ReplayBuffer(2)
     for v in (1.0, 2.0, 3.0):
-        buf.push(transition(v))
+        buf.push(*transition(v))
     assert len(buf) == 2
     assert buf.insertions == 3
     stored = {buf._rewards[i] for i in range(2)}
@@ -66,7 +68,7 @@ def test_replay_evicts_oldest():
 
 def test_replay_sample_too_small():
     buf = ReplayBuffer(10)
-    buf.push(transition(1.0))
+    buf.push(*transition(1.0))
     with pytest.raises(BufferTooSmall):
         buf.sample(2, np.random.default_rng(0))
 
@@ -74,7 +76,7 @@ def test_replay_sample_too_small():
 def test_replay_uniformity():
     buf = ReplayBuffer(4)
     for v in (0.0, 1.0, 2.0, 3.0):
-        buf.push(transition(v))
+        buf.push(*transition(v))
     rng = np.random.default_rng(1)
     draws = np.concatenate([buf.sample(4, rng).rewards for _ in range(25_000)])
     for v in (0.0, 1.0, 2.0, 3.0):
@@ -85,7 +87,7 @@ def test_replay_uniformity():
 def test_replay_sampling_seeded():
     buf = ReplayBuffer(8)
     for v in range(8):
-        buf.push(transition(float(v)))
+        buf.push(*transition(float(v)))
     a = buf.sample(8, np.random.default_rng(9)).rewards
     b = buf.sample(8, np.random.default_rng(9)).rewards
     assert np.array_equal(a, b)
@@ -94,7 +96,7 @@ def test_replay_sampling_seeded():
 def test_replay_integer_states_round_trip():
     buf = ReplayBuffer(8)
     for i in range(8):
-        buf.push(Transition(i, i % 2, float(i), i + 1, i == 7))
+        buf.push(i, i % 2, float(i), i + 1, i == 7)
     batch = buf.sample(8, np.random.default_rng(0))
     assert np.issubdtype(batch.states.dtype, np.integer) and batch.states.shape == (8,)
     assert np.issubdtype(batch.next_states.dtype, np.integer) and batch.next_states.shape == (8,)
@@ -193,7 +195,7 @@ def test_dqn_next_q_max_lookup_matches_batch_forward():
 
     def recording_step(action):
         result = step(action)
-        next_observations.append(result.observation.flatten())
+        next_observations.append(observe(env).flatten())
         return result
 
     env.step = recording_step
@@ -423,14 +425,13 @@ class RecordingEnv:
         return self.env.observation_index
 
     def reset(self):
-        window = self.env.reset()
-        self.current = window.flatten()
-        return window
+        self.env.reset()
+        self.current = observe(self.env).flatten()
 
     def step(self, action):
         self.acted.append(self.current)
         result = self.env.step(action)
-        self.current = result.observation.flatten()
+        self.current = observe(self.env).flatten()
         return result
 
 
@@ -453,18 +454,27 @@ def test_rollout_states_equal_observations(normalization, flag):
     assert env.acted[0].shape == (env.observation_size,)
 
 
-@pytest.mark.parametrize("train", [a2c_train, ppo_train], ids=["a2c", "ppo"])
+def greedy_backtest(env_factory, hyperparams: Hyperparams, seed: int):
+    """run_policy over a fresh env with a seeded untrained actor."""
+    env = env_factory()
+    return run_policy(env, init_mlp([env.observation_size, *hyperparams.hidden_sizes, 2], np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("train", [a2c_train, ppo_train, dqn_train, greedy_backtest],
+                         ids=["a2c", "ppo", "dqn", "run_policy"])
 def test_on_policy_training_never_flattens_a_window(monkeypatch, train):
-    """Rollouts keep observation-table rows and gather them once per update."""
+    """Training and the backtest read observation-table rows: no env step
+    builds an ObservationWindow, and nothing flattens one."""
     from quantrl.trading_env import ObservationWindow
 
     calls = []
-    flatten = ObservationWindow.flatten
-    monkeypatch.setattr(ObservationWindow, "flatten", lambda self, *args: calls.append(1) or flatten(self, *args))
+    init, flatten = ObservationWindow.__init__, ObservationWindow.flatten
+    monkeypatch.setattr(ObservationWindow, "__init__", lambda self, *args: calls.append("build") or init(self, *args))
+    monkeypatch.setattr(ObservationWindow, "flatten", lambda self, *args: calls.append("flatten") or flatten(self, *args))
     train(lambda: tiny_env(), tiny_hp(total_timesteps=100), seed=0)
     assert calls == []
-    tiny_env().reset().flatten()
-    assert calls == [1]
+    ObservationWindow(np.zeros((2, 1)), 0.0).flatten()
+    assert calls == ["build", "flatten"]
 
 
 @pytest.mark.parametrize("flag", [True, False])

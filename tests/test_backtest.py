@@ -249,11 +249,11 @@ def test_run_policy_actions_equal_per_row_argmax(flag, net):
     # several blocks of observation rows are evaluated
     assert len(ledger) > 2 * BACKTEST_BLOCK_ROWS
     replay = TradingEnv(series, features, EnvConfig(window_size=3, include_position_flag=flag))
-    obs = replay.reset()
+    replay.reset()
     for record in ledger.records:
-        expected = int(np.argmax(mlp_forward(policy, obs.flatten())))
+        expected = int(np.argmax(mlp_forward(policy, oracles.observe(replay).flatten())))
         assert int(record.action) == expected
-        obs = replay.step(expected).observation
+        replay.step(expected)
     actions = {int(r.action) for r in ledger.records}
     if net == "zero":
         assert actions == {0}  # ties go to Sell

@@ -398,7 +398,7 @@ def test_cli_missing_data_file(tmp_path):
 
 @pytest.mark.parametrize("fault, error", [
     ("missing", "FileNotFoundError"), ("truncated", "CorruptFile"), ("zero-layers", "CorruptFile"),
-    ("zero-sized-layer", "CorruptFile"),
+    ("zero-sized-layer", "CorruptFile"), ("directory", "IsADirectoryError"),
 ])
 def test_cli_bad_policy_file_is_data_error(tmp_path, data_csv, capsys, fault, error):
     cfg = write_config(tmp_path, data_csv, agent={"total_timesteps": 50})
@@ -406,6 +406,8 @@ def test_cli_bad_policy_file_is_data_error(tmp_path, data_csv, capsys, fault, er
     if fault == "truncated":
         assert cli(["train", "--config", str(cfg)]) == EXIT_OK
         policy.write_bytes(policy.read_bytes()[:-8])
+    elif fault == "directory":
+        policy.mkdir(parents=True)
     elif fault != "missing":
         policy.parent.mkdir()
         header = struct.pack("<II", 1, 0) if fault == "zero-layers" else struct.pack("<IIII", 1, 1, 0, 2)
@@ -659,13 +661,17 @@ def test_cli_report_and_compare_bytes_are_pinned(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("content", [
-    b"{not json", b"[1, 2]", b'{"sharpe": 1.5}', b'{"sharpe": 1.5\xff}',
-    json.dumps({**PINNED_REPORTS["a"], "alpha": 1.0}).encode(),
-], ids=["bad-json", "not-an-object", "missing-metrics", "bad-utf8", "unknown-metric"])
+@pytest.mark.parametrize("content, named", [
+    (b"{not json", ""), (b"[1, 2]", ""), (b'{"sharpe": 1.5}', ""), (b'{"sharpe": 1.5\xff}', ""),
+    (json.dumps({**PINNED_REPORTS["a"], "alpha": 1.0}).encode(), ""),
+    *((json.dumps({**PINNED_REPORTS["a"], key: value}).encode(), f": {key}: ")
+      for key, value in [("sharpe", "abc"), ("n_trades", [1]), ("n_trades", True), ("n_trades", 1.5)]),
+], ids=["bad-json", "not-an-object", "missing-metrics", "bad-utf8", "unknown-metric",
+        "sharpe-str", "n_trades-list", "n_trades-bool", "n_trades-float"])
 @pytest.mark.parametrize("command", ["report", "compare"])
-def test_cli_corrupt_report_is_data_error(tmp_path, capsys, command, content):
-    """compare reads every report before it prints, so a corrupt second report prints no table."""
+def test_cli_corrupt_report_is_data_error(tmp_path, capsys, command, content, named):
+    """compare reads every report before it prints, so a corrupt second report prints no table.
+    A metric of the wrong type is named."""
     path = tmp_path / "corrupt" / "report.json"
     path.parent.mkdir()
     path.write_bytes(content)
@@ -678,6 +684,40 @@ def test_cli_corrupt_report_is_data_error(tmp_path, capsys, command, content):
     payload = json.loads(lines[0])
     assert (payload["error"], payload["type"]) == ("data", "CorruptFile")
     assert payload["message"].startswith(f"{path}: ")
+    assert named in payload["message"]
+
+
+@pytest.mark.parametrize("command", ["report", "compare", "data", "config"])
+def test_cli_unreadable_input_is_named(tmp_path, data_csv, capsys, command):
+    """An input path that names a directory is a data error under the OS error's
+    type; a config path, a config error."""
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    argv = {
+        "report": lambda: ["report", str(directory)],
+        "compare": lambda: ["compare", write_reports(tmp_path)[0], str(directory)],
+        "data": lambda: ["ingest", "--config", str(write_config(tmp_path, directory))],
+        "config": lambda: ["train", "--config", str(directory)],
+    }[command]()
+    code, kind, error = (EXIT_CONFIG, "config", "SchemaError") if command == "config" else (
+        EXIT_DATA, "data", "IsADirectoryError")
+    assert cli(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["type"]) == (kind, error)
+    assert str(directory) in payload["message"]
+
+
+def test_cli_unwritable_output_is_runtime_error(tmp_path, data_csv, capsys):
+    """An OSError while writing an artifact is not a data error."""
+    cfg = write_config(tmp_path, data_csv)
+    (tmp_path / "run").write_text("a file where the output directory goes")
+    assert cli(["ingest", "--config", str(cfg)]) == EXIT_RUNTIME
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (payload["error"], payload["type"]) == ("runtime", "FileExistsError")
 
 
 # --- atomic artifact writes -------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_series, random_walk_series
+from oracles import observe
 from quantrl import (
     Action,
     EnvConfig,
@@ -86,7 +87,8 @@ def test_env_config_validation():
 
 def test_reset_cursor_and_state():
     env = build_env(closes=np.linspace(100, 110, 30), window_size=5)
-    obs = env.reset()
+    env.reset()
+    obs = observe(env)
     assert env.start_cursor == 0 + 5 - 1
     assert obs.values.shape == (5, 1)
     assert obs.position_flag == 0.0
@@ -96,7 +98,8 @@ def test_reset_cursor_and_state():
 
 def test_reset_window_one_single_row():
     env = build_env(closes=np.linspace(100, 101, 5), window_size=1)
-    obs = env.reset()
+    env.reset()
+    obs = observe(env)
     assert obs.values.shape == (1, 1)
     assert env.start_cursor == 0
 
@@ -108,7 +111,7 @@ def test_reset_cursor_505_default_specs():
     env.reset()
     # first fully defined window ends at warm-up + window - 1
     assert env.start_cursor == features.warmup + 10 - 1
-    assert not np.isnan(env.reset().values).any()
+    assert not np.isnan(observe(env).values).any()
 
 
 def test_series_too_short():
@@ -122,10 +125,11 @@ def test_step_long_reward_and_equity():
     env = build_env(closes=[100.0, 101.0], window_size=1)
     env.reset()
     # Buy flips Short->Long at close 100, then the bar moves 100 -> 101
+    before = env.position
     result = env.step(Action.BUY)
     assert result.reward == pytest.approx(math.log(1.01), abs=1e-12)
-    assert result.info["position"] is Position.LONG
-    assert result.info["trade_executed"] is True
+    assert env.position is Position.LONG
+    assert env.position is not before  # the Buy traded
     assert env.equity == pytest.approx(10_000.0 * 1.01, abs=1e-9)
 
 
@@ -171,7 +175,7 @@ def test_position_always_binary():
     done = False
     while not done:
         result = env.step(int(rng.integers(2)))
-        assert result.info["position"] in (Position.SHORT, Position.LONG)
+        assert env.position in (Position.SHORT, Position.LONG)
         done = result.done
 
 
@@ -205,11 +209,11 @@ def test_flip_rewards_tie_to_equity():
         last_flip_equity = 10_000.0
         done = False
         while not done:
-            before_equity = env.equity
+            before_equity, before_position = env.equity, env.position
             result = env.step(int(rng.integers(2)))
             realized += result.reward
-            if result.info["trade_executed"]:
-                last_flip_price = result.info["last_trade_price"]
+            if env.position is not before_position:  # a flip trades at the close the step started on
+                last_flip_price = closes[env.cursor - 1]
                 last_flip_equity = before_equity
             done = result.done
         # realized flips alone equal ln(equity at last flip / initial)
@@ -282,19 +286,21 @@ def test_observation_normalization_min_max_bounds():
     series = random_walk_series(60, seed=8)
     features = compute_feature_matrix(series, [IndicatorSpec("SMA", 2), IndicatorSpec("RSI", 5)])
     env = TradingEnv(series, features, EnvConfig(window_size=3))
-    obs = env.reset()
+    env.reset()
+    obs = observe(env)
     done = False
     while not done:
         assert (obs.values >= 0.0).all() and (obs.values <= 1.0).all()
         result = env.step(Action.BUY)
-        obs = result.observation
+        obs = observe(env)
         done = result.done
 
 
 def test_observation_window_log():
     closes = 100.0 * 1.01 ** np.arange(20)
     env = build_env(closes=closes, window_size=3, normalization=NormalizationKind.WINDOW_LOG)
-    obs = env.reset()
+    env.reset()
+    obs = observe(env)
     assert obs.values[0, 0] == 0.0
     expected = 10.0 * math.log(closes[1] / closes[0])
     assert obs.values[1, 0] == pytest.approx(expected, abs=1e-12)
@@ -323,13 +329,15 @@ def test_frozen_stats_reused_for_evaluation():
     eval_features = compute_feature_matrix(evaluation, spec)
     stats = [fit(col.defined) for col in train_features.columns]
     env = TradingEnv(evaluation, eval_features, EnvConfig(window_size=2), stats=stats)
-    obs = env.reset()
+    env.reset()
+    obs = observe(env)
     raw = eval_features.to_array()
     expected = min_max(raw[env.cursor, 0], stats[0])
     assert obs.values[-1, 0] == pytest.approx(expected, abs=1e-15)
     # frozen stats come from a different segment, so values may leave [0, 1]
     fresh = TradingEnv(evaluation, eval_features, EnvConfig(window_size=2))
-    assert not np.array_equal(fresh.reset().values, obs.values)
+    fresh.reset()
+    assert not np.array_equal(observe(fresh).values, obs.values)
 
 
 @pytest.mark.parametrize("flag", [True, False])
@@ -373,7 +381,8 @@ def test_observation_table_rows_equal_observations(kind, frozen, flag):
             assert np.array_equal(table[index], reference(cursor, position))
 
     actions = np.random.default_rng(4).integers(2, size=len(series))
-    obs = env.reset()
+    env.reset()
+    obs = observe(env)
     with pytest.raises(ValueError):
         obs.values[0, 0] = 0.0
     for action in actions:
@@ -381,7 +390,7 @@ def test_observation_table_rows_equal_observations(kind, frozen, flag):
         assert np.array_equal(obs.flatten(), expected)
         assert np.array_equal(table[env.observation_index], expected)
         result = env.step(int(action))
-        obs = result.observation
+        obs = observe(env)
         if result.done:
             break
     assert np.array_equal(obs.flatten(), reference(env.cursor, env.position))
@@ -412,24 +421,23 @@ def test_observation_rows_equal_table_slices(kind, flag):
 
 def test_position_flag_toggle():
     env = build_env(closes=np.linspace(100, 110, 20), window_size=2, include_position_flag=True)
-    obs = env.reset()
-    assert obs.position_flag == 0.0
-    result = env.step(Action.BUY)
-    assert result.observation.position_flag == 1.0
+    env.reset()
+    assert observe(env).position_flag == 0.0
+    env.step(Action.BUY)
+    assert observe(env).position_flag == 1.0
     env2 = build_env(closes=np.linspace(100, 110, 20), window_size=2, include_position_flag=False)
-    assert env2.reset().position_flag is None
+    env2.reset()
+    assert observe(env2).position_flag is None
     assert env2.observation_size == 2
 
 
-def test_ledger_csv_export(tmp_path):
+def test_ledger_csv_export():
     env = build_env(closes=np.linspace(100, 110, 15), window_size=1)
     env.reset()
     done = False
     while not done:
         done = env.step(Action.BUY).done
-    path = tmp_path / "ledger.csv"
-    env.ledger.to_csv(path)
-    lines = path.read_text().splitlines()
+    lines = env.ledger.csv_text().splitlines()
     assert lines[0] == "step,action,position,price,reward,equity"
     assert len(lines) == len(env.ledger) + 1
 
@@ -443,7 +451,7 @@ def _state(env):
 
 
 def _ledger_columns(ledger):
-    return (ledger.actions, ledger.positions, list(map(repr, ledger.prices)),
+    return (ledger.actions, list(map(repr, ledger.prices)),
             list(map(repr, ledger.rewards)), list(map(repr, ledger.equity)), list(map(repr, ledger.records)))
 
 
