@@ -8,10 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SchemaError, TrainingDiverged
-from .common import Hyperparams, RowBlocks, TrainingLog, TrainingRecord
+from .common import Hyperparams, Learner, RowBlocks, TrainingLog, TrainingRecord
 from .losses import policy_gradient_loss, value_loss
-from .mlp import MlpPolicy, Workspace, init_mlp, mlp_forward, softmax
-from .optim import make_optimizer
+from .mlp import MlpPolicy, init_mlp, mlp_forward, softmax
 
 
 @dataclass
@@ -20,18 +19,6 @@ class ActorCritic:
 
     actor: MlpPolicy
     critic: MlpPolicy
-
-
-class Learner:
-    """One network's optimizer and the workspace its loss runs in."""
-
-    def __init__(self, net: MlpPolicy, hp: Hyperparams, rows: int):
-        self.net = net
-        self.optimizer = make_optimizer(hp.optimizer, hp.learning_rate)
-        self.workspace = Workspace(net, rows)
-
-    def step(self, grads: np.ndarray) -> None:
-        self.optimizer.update(self.net.flat, grads)
 
 
 def n_step_returns(rewards: np.ndarray, dones: np.ndarray, bootstrap: float, gamma: float) -> np.ndarray:
@@ -90,9 +77,9 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
                     batch_rows: int | None = None) -> tuple[ActorCritic, TrainingLog]:
     """Shared A2C/PPO loop: build the nets, sample actions into n_steps
     rollouts and log episodes. Each full rollout goes to
-    ``update(nets, actor, critic, rollout, obs, rng)``, which returns the loss
-    to log; ``actor`` and ``critic`` are the nets' Learners, whose workspaces
-    take batches of up to ``batch_rows`` rows (default n_steps), and ``obs`` is
+    ``update(actor, critic, rollout, obs, rng)``, which returns the loss to
+    log; ``actor`` and ``critic`` are the nets' Learners, whose workspaces take
+    batches of up to ``batch_rows`` rows (default n_steps), and ``obs`` is
     the observation after the rollout. Non-finite action probabilities or a
     non-finite loss raise TrainingDiverged.
 
@@ -103,7 +90,6 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
     rng = np.random.default_rng(seed)
     actor = init_mlp([env.observation_size, *hp.hidden_sizes, 2], rng)
     critic = init_mlp([env.observation_size, *hp.hidden_sizes, 1], rng)
-    nets = ActorCritic(actor, critic)
     rows = hp.n_steps if batch_rows is None else batch_rows
     try:  # the rollout, and A2C's workspaces, hold n_steps rows
         rollout = _Rollout(hp.n_steps)
@@ -134,31 +120,38 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
         if rollout.fill == hp.n_steps:
             observations = env.observations(rollout.rows)
             rollout.states = observations[:-1]
-            last_loss = update(nets, actor_learner, critic_learner, rollout, observations[-1], rng)
+            last_loss = update(actor_learner, critic_learner, rollout, observations[-1], rng)
             if not math.isfinite(last_loss):
                 raise TrainingDiverged(steps, last_loss)
             thresholds.invalidate()
             rollout.rows[0] = rollout.rows[-1]
             rollout.fill = 0
-    return nets, log
+    return ActorCritic(actor, critic), log
+
+
+def actor_critic_step(actor: Learner, critic: Learner, actor_update: tuple[float, np.ndarray],
+                      states: np.ndarray, returns: np.ndarray, value_coef: float) -> float:
+    """Apply the actor's (loss, gradients), fit the critic to ``returns`` with
+    its gradients scaled by value_coef, and return the combined loss."""
+    actor_loss, actor_grads = actor_update
+    critic_loss, critic_grads = value_loss(critic.net, states, returns, critic.workspace)
+    actor.step(actor_grads)
+    critic_grads *= value_coef
+    critic.step(critic_grads)
+    return actor_loss + value_coef * critic_loss
 
 
 def a2c_train(env_factory, hyperparams: Hyperparams, seed: int) -> tuple[ActorCritic, TrainingLog]:
     """Collect n_steps transitions, then one synchronous update of both nets."""
     hp = hyperparams
 
-    def update(nets, actor, critic, rollout, obs, rng) -> float:
-        bootstrap = float(mlp_forward(nets.critic, obs)[0])
+    def update(actor, critic, rollout, obs, rng) -> float:
+        bootstrap = float(mlp_forward(critic.net, obs)[0])
         returns = n_step_returns(rollout.rewards, rollout.dones, bootstrap, hp.gamma)
-        values = mlp_forward(nets.critic, rollout.states)[:, 0]
-        advantages = returns - values
-        actor_loss, actor_grads = policy_gradient_loss(
-            nets.actor, rollout.states, rollout.actions, advantages, hp.entropy_coef, actor.workspace
+        advantages = returns - mlp_forward(critic.net, rollout.states)[:, 0]
+        actor_update = policy_gradient_loss(
+            actor.net, rollout.states, rollout.actions, advantages, hp.entropy_coef, actor.workspace
         )
-        critic_loss, critic_grads = value_loss(nets.critic, rollout.states, returns, critic.workspace)
-        actor.step(actor_grads)
-        critic_grads *= hp.value_coef
-        critic.step(critic_grads)
-        return actor_loss + hp.value_coef * critic_loss
+        return actor_critic_step(actor, critic, actor_update, rollout.states, returns, hp.value_coef)
 
     return train_on_policy(env_factory, hp, seed, update)

@@ -1,4 +1,4 @@
-"""Shared training plumbing: hyperparameters, exploration, training log."""
+"""Shared training plumbing: hyperparameters, learners, exploration, training log."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import numpy as np
 
 from ..atomic import atomic_open
 from ..errors import SchemaError
+from .mlp import MlpPolicy, Workspace
+from .optim import make_optimizer
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,18 @@ class Hyperparams:
             raise SchemaError("optimizer", f"must be 'sgd' or 'adam', got {self.optimizer!r:.40}")
         if not self.hidden_sizes or not all(type(h) is int and 1 <= h <= 4096 for h in self.hidden_sizes):
             raise SchemaError("hidden_sizes", f"must be non-empty ints in [1, 4096], got {self.hidden_sizes!r:.60}")
+
+
+class Learner:
+    """One network's optimizer and the workspace its loss runs in."""
+
+    def __init__(self, net: MlpPolicy, hp: Hyperparams, rows: int):
+        self.net = net
+        self.optimizer = make_optimizer(hp.optimizer, hp.learning_rate)
+        self.workspace = Workspace(net, rows)
+
+    def step(self, grads: np.ndarray) -> None:
+        self.optimizer.update(self.net.flat, grads)
 
 
 def linear_epsilon(step: int, total_timesteps: int, initial: float = 1.0,

@@ -17,9 +17,9 @@ import math
 import numpy as np
 
 from ..errors import SchemaError, TrainingDiverged
-from .common import Hyperparams, TrainingLog, TrainingRecord, exploratory_action, linear_epsilon
-from .mlp import MlpPolicy, Workspace, forward_cached, init_mlp, mlp_backward, mlp_forward
-from .optim import make_optimizer
+from .common import Hyperparams, Learner, TrainingLog, TrainingRecord, exploratory_action, linear_epsilon
+from .losses import squared_error_loss
+from .mlp import MlpPolicy, init_mlp, mlp_forward
 from .replay import Batch, ReplayBuffer
 
 
@@ -28,25 +28,11 @@ def td_targets(rewards: np.ndarray, dones: np.ndarray, next_q_max: np.ndarray, g
     return rewards + gamma * np.where(dones, 0.0, next_q_max)
 
 
-def q_loss_and_grads(online: MlpPolicy, states: np.ndarray, actions: np.ndarray, targets: np.ndarray,
-                     workspace: Workspace | None = None):
-    """Mean squared error of Q_online(s, a) against fixed targets y, and its
-    gradients w.r.t. the online network. Given a ``workspace``, the gradients
-    are its gradient buffer, valid until its next call."""
-    q_all, cache = forward_cached(online, states, workspace)
-    rows = np.arange(len(actions))
-    delta = q_all[rows, actions] - targets
-    loss = float(np.add.reduce(delta * delta) / len(delta))
-    grad_out = np.zeros_like(q_all)
-    grad_out[rows, actions] = 2.0 * delta / len(actions)
-    return loss, mlp_backward(online, cache, grad_out, workspace)
-
-
 def td_loss_and_grads(online: MlpPolicy, target: MlpPolicy, batch: Batch, gamma: float):
     """Mean squared TD error and its gradients w.r.t. the online network."""
     next_q_max = mlp_forward(target, batch.next_states).max(axis=1)
     y = td_targets(batch.rewards, batch.dones, next_q_max, gamma)
-    return q_loss_and_grads(online, batch.states, batch.actions, y)
+    return squared_error_loss(online, batch.states, batch.actions, y)
 
 
 class DqnTrainer:
@@ -73,10 +59,9 @@ class DqnTrainer:
         except (MemoryError, ValueError) as exc:
             raise SchemaError("agent.buffer_size", f"the replay ring cannot be allocated: {exc}") from exc
         try:
-            self.workspace = Workspace(self.policy, min(hyperparams.batch_size, hyperparams.total_timesteps))
+            self.learner = Learner(self.policy, hyperparams, min(hyperparams.batch_size, hyperparams.total_timesteps))
         except (MemoryError, ValueError) as exc:
             raise SchemaError("agent.batch_size", f"the learn-step workspace cannot be allocated: {exc}") from exc
-        self.optimizer = make_optimizer(hyperparams.optimizer, hyperparams.learning_rate)
         self.log = TrainingLog()
         self.step_count = 0
         self.last_loss = float("nan")
@@ -112,12 +97,12 @@ class DqnTrainer:
         if len(self.buffer) >= self.hp.batch_size:
             batch = self.buffer.sample(self.hp.batch_size, self.rng)
             y = td_targets(batch.rewards, batch.dones, self.next_q_max[batch.next_states], self.hp.gamma)
-            loss, grads = q_loss_and_grads(
-                self.policy, self.observations[batch.states], batch.actions, y, self.workspace
+            loss, grads = squared_error_loss(
+                self.policy, self.observations[batch.states], batch.actions, y, self.learner.workspace
             )
             if not math.isfinite(loss):
                 raise TrainingDiverged(self.step_count, loss)
-            self.optimizer.update(self.policy.flat, grads)
+            self.learner.step(grads)
             self.last_loss = loss
         if self.step_count % self.hp.target_update_interval == 0:
             self.target = self.policy.copy()

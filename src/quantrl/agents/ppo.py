@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .a2c import ActorCritic, train_on_policy
+from .a2c import ActorCritic, actor_critic_step, train_on_policy
 from .common import Hyperparams, TrainingLog
-from .losses import ppo_policy_loss, value_loss
+from .losses import ppo_policy_loss
 from .mlp import log_softmax, mlp_forward
 
 
@@ -30,13 +30,13 @@ def ppo_train(env_factory, hyperparams: Hyperparams, seed: int) -> tuple[ActorCr
     hp = hyperparams
     minibatch = min(hp.batch_size, hp.n_steps)
 
-    def update(nets, actor, critic, rollout, obs, rng) -> float:
-        values = mlp_forward(nets.critic, rollout.states)[:, 0]
-        last_value = float(mlp_forward(nets.critic, obs)[0])
+    def update(actor, critic, rollout, obs, rng) -> float:
+        values = mlp_forward(critic.net, rollout.states)[:, 0]
+        last_value = float(mlp_forward(critic.net, obs)[0])
         advantages, returns = gae_advantages(
             rollout.rewards, values, rollout.dones, last_value, hp.gamma, hp.gae_lambda
         )
-        logp_old = log_softmax(mlp_forward(nets.actor, rollout.states))[
+        logp_old = log_softmax(mlp_forward(actor.net, rollout.states))[
             np.arange(hp.n_steps), rollout.actions
         ]
         for _ in range(hp.n_epochs):
@@ -44,14 +44,11 @@ def ppo_train(env_factory, hyperparams: Hyperparams, seed: int) -> tuple[ActorCr
             for lo in range(0, hp.n_steps, minibatch):
                 idx = order[lo : lo + minibatch]
                 states = rollout.states[idx]
-                actor_loss, actor_grads = ppo_policy_loss(
-                    nets.actor, states, rollout.actions[idx],
+                actor_update = ppo_policy_loss(
+                    actor.net, states, rollout.actions[idx],
                     logp_old[idx], advantages[idx], hp.clip_range, hp.entropy_coef, actor.workspace,
                 )
-                critic_loss, critic_grads = value_loss(nets.critic, states, returns[idx], critic.workspace)
-                actor.step(actor_grads)
-                critic_grads *= hp.value_coef
-                critic.step(critic_grads)
-        return actor_loss + hp.value_coef * critic_loss
+                loss = actor_critic_step(actor, critic, actor_update, states, returns[idx], hp.value_coef)
+        return loss
 
     return train_on_policy(env_factory, hp, seed, update, minibatch)

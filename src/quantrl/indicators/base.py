@@ -84,12 +84,6 @@ class FeatureMatrix:
         """(n_bars, n_columns) float array, NaN in warm-up cells."""
         return np.column_stack([c.values for c in self.columns])
 
-    def column(self, name: str) -> FeatureColumn:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_csv(self, path: str | Path, dates) -> None:
         """Export with a leading Date column; warm-up (NaN) cells are empty.
         ``\\r\\n`` line ends and ``repr`` floats; the header is quoted as

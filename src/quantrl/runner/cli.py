@@ -22,7 +22,7 @@ from ..atomic import atomic_open
 from ..backtest import PerformanceReport, compute_report, render_report, run_policy
 from ..errors import (
     CorruptFile, EmptySeries, InvariantViolation, MalformedRow, NonPositiveValue, PeriodTooLong, SchemaError,
-    SeriesTooShort,
+    SeriesTooShort, TooFewSamples,
 )
 from ..indicators import compute_feature_matrix
 from ..market_data import load_csv, save_csv, slice_by_date
@@ -232,8 +232,23 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _compare_headings(paths: list[str]) -> list[str]:
+    """Each report's parent directory name (the path itself when it has none), lengthened
+    by further parent directories while it equals another report's heading."""
+    names = [parent.relative_to(parent.anchor).parts for parent in (Path(path).parent for path in paths)]
+    depths = [1] * len(paths)
+    while True:
+        headings = ["/".join(parts[-depth:]) or path for parts, depth, path in zip(names, depths, paths)]
+        grow = [i for i, heading in enumerate(headings) if headings.count(heading) > 1 and depths[i] < len(names[i])]
+        if not grow:
+            return headings
+        for i in grow:
+            depths[i] += 1
+
+
 def _cmd_compare(args) -> int:
-    rows = _print_reports([(Path(path).parent.name or path, _read_report(path)) for path in args.reports])
+    reports = [_read_report(path) for path in args.reports]
+    rows = _print_reports(list(zip(_compare_headings(args.reports), reports)))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -255,7 +270,7 @@ _HANDLERS = {
 }
 
 _DATA_ERRORS = (MalformedRow, InvariantViolation, EmptySeries, NonPositiveValue, PeriodTooLong, SeriesTooShort,
-                CorruptFile)
+                TooFewSamples, CorruptFile)
 
 
 def _emit_error(kind: str, exc: Exception, type_name: str | None = None) -> None:

@@ -85,14 +85,3 @@ class RunManifest:
         }
         with atomic_open(path) as handle:
             handle.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-    @classmethod
-    def read(cls, path: str | Path) -> "RunManifest":
-        data = json.loads(Path(path).read_text())
-        return cls(
-            config_hash=data["config_hash"],
-            artifacts=data["artifacts"],
-            created_at=data["created_at"],
-            version=data.get("version", ""),
-            environment=data.get("environment", {}),
-        )

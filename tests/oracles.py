@@ -2,9 +2,11 @@
 
 Everything here is written directly from the defining formulas with plain
 Python loops and window recomputation - no shared code with the package
-and no incremental shortcuts beyond the definitions themselves. The two
-exceptions read the package's env: ``observe``, its current observation,
-and ``o_run_policy``, which drives it bar by bar.
+and no incremental shortcuts beyond the definitions themselves. The
+exceptions use the package: ``observe`` reads its env's current
+observation, ``o_run_policy`` drives its env bar by bar, and the four
+``o_*_loss*`` bodies run its network passes, which ``o_forward_cached``
+and ``o_mlp_backward`` pin separately.
 """
 
 import csv
@@ -374,6 +376,75 @@ def o_mlp_backward(policy, cache, grad_out):
         if i > 0:
             delta = delta @ policy.weights[i].T
     return np.concatenate([p.ravel() for pair in zip(grad_w, grad_b) for p in pair])
+
+
+# --- the four losses, one body each --------------------------------------------------
+# The DQN, value, policy-gradient and PPO losses as they were before they shared
+# one squared-error body and one softmax-policy body. The shared bodies must
+# equal them bit for bit, with and without a workspace.
+
+
+def o_q_loss_and_grads(online, states, actions, targets, workspace=None):
+    from quantrl.agents.mlp import forward_cached, mlp_backward
+
+    q_all, cache = forward_cached(online, states, workspace)
+    rows = np.arange(len(actions))
+    delta = q_all[rows, actions] - targets
+    loss = float(np.add.reduce(delta * delta) / len(delta))
+    grad_out = np.zeros_like(q_all)
+    grad_out[rows, actions] = 2.0 * delta / len(actions)
+    return loss, mlp_backward(online, cache, grad_out, workspace)
+
+
+def o_value_loss(critic, states, returns, workspace=None):
+    from quantrl.agents.mlp import forward_cached, mlp_backward
+
+    values, cache = forward_cached(critic, states, workspace)
+    delta = values[:, 0] - returns
+    loss = float(np.add.reduce(delta * delta) / len(delta))
+    grad_out = np.zeros_like(values)
+    grad_out[:, 0] = 2.0 * delta / len(returns)
+    return loss, mlp_backward(critic, cache, grad_out, workspace)
+
+
+def o_policy_gradient_loss(actor, states, actions, advantages, entropy_coef, workspace=None):
+    from quantrl.agents.mlp import forward_cached, log_softmax, mlp_backward
+
+    logits, cache = forward_cached(actor, states, workspace)
+    logp = log_softmax(logits)
+    probs = np.exp(logp)
+    batch = len(actions)
+    rows = np.arange(batch)
+    logp_taken = logp[rows, actions]
+    entropy = -(probs * logp).sum(axis=1)
+    loss = float(-(logp_taken * advantages).mean() - entropy_coef * entropy.mean())
+    one_hot = np.zeros_like(logits)
+    one_hot[rows, actions] = 1.0
+    grad_logits = -(advantages[:, None] * (one_hot - probs)) / batch
+    grad_logits += entropy_coef * probs * (logp + entropy[:, None]) / batch
+    return loss, mlp_backward(actor, cache, grad_logits, workspace)
+
+
+def o_ppo_policy_loss(actor, states, actions, logp_old, advantages, clip_range, entropy_coef, workspace=None):
+    from quantrl.agents.mlp import forward_cached, log_softmax, mlp_backward
+
+    logits, cache = forward_cached(actor, states, workspace)
+    logp = log_softmax(logits)
+    probs = np.exp(logp)
+    batch = len(actions)
+    rows = np.arange(batch)
+    ratio = np.exp(logp[rows, actions] - logp_old)
+    surr1 = ratio * advantages
+    surr2 = np.clip(ratio, 1.0 - clip_range, 1.0 + clip_range) * advantages
+    entropy = -(probs * logp).sum(axis=1)
+    loss = float(-np.minimum(surr1, surr2).mean() - entropy_coef * entropy.mean())
+    active = surr1 <= surr2
+    one_hot = np.zeros_like(logits)
+    one_hot[rows, actions] = 1.0
+    grad_ratio = np.where(active, advantages, 0.0) * ratio
+    grad_logits = -(grad_ratio[:, None] * (one_hot - probs)) / batch
+    grad_logits += entropy_coef * probs * (logp + entropy[:, None]) / batch
+    return loss, mlp_backward(actor, cache, grad_logits, workspace)
 
 
 # --- CSV ingestion, one row at a time ------------------------------------------------

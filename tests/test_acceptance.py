@@ -6,7 +6,9 @@ criteria (5, 6, 7) train real agents and together take a few minutes.
 
 import json
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -46,6 +48,24 @@ from test_agents_mlp import central_difference, flatten_grads, relative_error
 
 def _passed(n: int, detail: str = "") -> None:
     print(f"[acceptance] criterion {n:02d} PASS {detail}")
+
+
+WORKER_TIMEOUT_S = 900.0
+
+
+def in_two_workers(fn, *iterables) -> list:
+    """fn mapped over the iterables in two spawned worker processes, results in
+    order. If every result is not back within WORKER_TIMEOUT_S, the workers are
+    killed and TimeoutError fails the caller."""
+    pool = ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        return list(pool.map(fn, *iterables, timeout=WORKER_TIMEOUT_S))
+    except BaseException:
+        for worker in pool._processes.values():  # Python < 3.14 has no public way to stop a hung worker
+            worker.terminate()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # --- 1. indicator oracle suite ---------------------------------------------------
@@ -265,6 +285,18 @@ def exhaustive_best_log_return(closes: np.ndarray, start: int, commission: float
     return best
 
 
+def zigzag_log_return(seed: int) -> float:
+    """The log return of a greedy backtest of DQN trained on the zigzag with this seed."""
+    hyperparams = Hyperparams(
+        total_timesteps=100_000, optimizer="adam", learning_rate=1e-3,
+        buffer_size=10_000, batch_size=64, target_update_interval=500,
+        exploration_fraction=0.2,
+    )
+    policy, _ = dqn_train(zigzag_env, hyperparams, seed=seed)
+    _, curve, _ = run_policy(zigzag_env(), policy)
+    return math.log(curve.values[-1] / curve.values[0])
+
+
 @pytest.mark.slow
 def test_criterion_06_oracle_optimal_market():
     env = zigzag_env()
@@ -272,16 +304,7 @@ def test_criterion_06_oracle_optimal_market():
     assert steps == 20
     oracle = exhaustive_best_log_return(zigzag_closes(), env.start_cursor, ZIGZAG_COMMISSION)
     assert oracle > 0.0
-    hyperparams = Hyperparams(
-        total_timesteps=100_000, optimizer="adam", learning_rate=1e-3,
-        buffer_size=10_000, batch_size=64, target_update_interval=500,
-        exploration_fraction=0.2,
-    )
-    achieved = []
-    for seed in range(5):
-        policy, _ = dqn_train(zigzag_env, hyperparams, seed=seed)
-        _, curve, _ = run_policy(zigzag_env(), policy)
-        achieved.append(math.log(curve.values[-1] / curve.values[0]))
+    achieved = in_two_workers(zigzag_log_return, range(5))
     mean_fraction = float(np.mean(achieved) / oracle)
     assert mean_fraction >= 0.70, f"mean fraction {mean_fraction:.3f}"
     _passed(6, f"(oracle logret {oracle:.4f}, DQN mean fraction {mean_fraction:.2f} over 5 seeds)")
@@ -290,28 +313,27 @@ def test_criterion_06_oracle_optimal_market():
 # --- 7. learning-rate contrast --------------------------------------------------------
 
 
-@pytest.mark.slow
-def test_criterion_07_learning_rate_contrast():
+def lr_contrast_trades(lr: float, seed: int) -> int:
+    """The trades of a greedy backtest of DQN trained with this learning rate and seed."""
     series = random_walk_series(505, seed=11)
     features = compute_feature_matrix(series, default_specs())
 
     def env_factory():
         return TradingEnv(series, features, EnvConfig(window_size=10))
 
-    def mean_trades(lr: float) -> float:
-        counts = []
-        for seed in range(5):
-            hyperparams = Hyperparams(
-                learning_rate=lr, total_timesteps=10_000, buffer_size=10_000,
-                batch_size=32, optimizer="adam",
-            )
-            policy, _ = dqn_train(env_factory, hyperparams, seed=seed)
-            _, _, trades = run_policy(env_factory(), policy)
-            counts.append(len(trades))
-        return float(np.mean(counts))
+    hyperparams = Hyperparams(
+        learning_rate=lr, total_timesteps=10_000, buffer_size=10_000,
+        batch_size=32, optimizer="adam",
+    )
+    policy, _ = dqn_train(env_factory, hyperparams, seed=seed)
+    _, _, trades = run_policy(env_factory(), policy)
+    return len(trades)
 
-    small_lr = mean_trades(1e-4)
-    large_lr = mean_trades(1e-2)
+
+@pytest.mark.slow
+def test_criterion_07_learning_rate_contrast():
+    counts = in_two_workers(lr_contrast_trades, [1e-4] * 5 + [1e-2] * 5, [*range(5)] * 2)
+    small_lr, large_lr = float(np.mean(counts[:5])), float(np.mean(counts[5:]))
     assert large_lr <= 0.25 * small_lr, f"lr 1e-2 mean {large_lr} vs lr 1e-4 mean {small_lr}"
     _passed(7, f"(mean trades: lr 1e-2 {large_lr:.1f} vs lr 1e-4 {small_lr:.1f})")
 

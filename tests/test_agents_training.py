@@ -441,7 +441,7 @@ def test_rollout_states_equal_observations(normalization, flag):
     env = RecordingEnv(tiny_env(normalization=normalization, include_position_flag=flag))
     seen = []
 
-    def update(nets, actor, critic, rollout, obs, rng) -> float:
+    def update(actor, critic, rollout, obs, rng) -> float:
         seen.append((rollout.states.copy(), obs.copy(), env.current))
         return 0.0
 
@@ -493,10 +493,10 @@ def test_block_thresholds_match_per_row_rule(monkeypatch, flag):
     env = RecordingEnv(tiny_env(include_position_flag=flag))
     actors, actions = [], []
 
-    def update(nets, actor, critic, rollout, obs, rng) -> float:
+    def update(actor, critic, rollout, obs, rng) -> float:
         actions.extend(rollout.actions.tolist())
-        nets.actor.flat += 0.3 * np.sin(np.arange(nets.actor.flat.size) + len(actors))
-        actors.append(nets.actor.copy())
+        actor.net.flat += 0.3 * np.sin(np.arange(actor.net.flat.size) + len(actors))
+        actors.append(actor.net.copy())
         return 0.0
 
     seed, hp = 5, tiny_hp(total_timesteps=400, n_steps=8)

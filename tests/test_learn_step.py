@@ -8,20 +8,33 @@ import numpy as np
 import pytest
 
 from conftest import random_walk_series
-from oracles import o_forward_cached, o_mlp_backward
+from oracles import (
+    o_forward_cached,
+    o_mlp_backward,
+    o_policy_gradient_loss,
+    o_ppo_policy_loss,
+    o_q_loss_and_grads,
+    o_value_loss,
+)
 from quantrl import EnvConfig, TradingEnv, compute_feature_matrix
 from quantrl.agents import (
     DqnTrainer,
     Hyperparams,
     forward_cached,
     init_mlp,
+    log_softmax,
     mlp_backward,
+    mlp_forward,
     policy_gradient_loss,
     ppo_policy_loss,
+    td_loss_and_grads,
+    td_targets,
     value_loss,
 )
+from quantrl.agents.losses import squared_error_loss
 from quantrl.agents.mlp import Workspace
 from quantrl.agents.optim import Adam, Sgd
+from quantrl.agents.replay import Batch
 from quantrl.errors import ShapeMismatch
 from quantrl.indicators import default_specs
 
@@ -140,6 +153,72 @@ def test_actor_then_critic_gradients_stay_intact():
     assert np.array_equal(actor_grads, kept)
     assert np.array_equal(actor_grads, policy_gradient_loss(actor, states, actions, advantages, 0.01)[1])
     assert np.array_equal(critic_grads, value_loss(critic, states, returns)[1])
+
+
+# --- the shared loss bodies against the four bodies they replaced -------------------
+
+LOSS_ROWS = 15
+COLUMNS = {"sell": np.zeros(LOSS_ROWS, dtype=np.int64), "buy": np.ones(LOSS_ROWS, dtype=np.int64),
+           "mixed": np.arange(LOSS_ROWS) % 2}
+ADVANTAGE_SIGNS = {"zero": 0.0, "negative": -1.0, "positive": 1.0}
+
+
+def loss_inputs(seed):
+    rng = np.random.default_rng(seed)
+    return rng, init_mlp([6, 8, 8, 2], rng), init_mlp([6, 8, 8, 1], rng), rng.normal(size=(LOSS_ROWS, 6))
+
+
+def assert_same_arithmetic(loss, oracle, net, *args):
+    """Equal loss floats and gradient bytes without a workspace, and with one each."""
+    for workspace, oracle_workspace in ((None, None), (Workspace(net, LOSS_ROWS), Workspace(net, LOSS_ROWS))):
+        got_loss, got_grads = loss(net, *args, workspace=workspace)
+        ref_loss, ref_grads = oracle(net, *args, workspace=oracle_workspace)
+        assert got_loss == ref_loss and np.array_equal(got_grads, ref_grads)
+
+
+@pytest.mark.parametrize("columns", COLUMNS.values(), ids=COLUMNS.keys())
+def test_squared_error_loss_is_the_q_loss(columns):
+    rng, online, _, states = loss_inputs(1)
+    assert_same_arithmetic(squared_error_loss, o_q_loss_and_grads, online, states, columns, rng.normal(size=LOSS_ROWS))
+
+
+def test_td_loss_is_the_q_loss_on_td_targets():
+    rng, online, _, states = loss_inputs(2)
+    target = init_mlp([6, 8, 8, 2], rng)
+    batch = Batch(states, COLUMNS["mixed"], rng.normal(size=LOSS_ROWS), rng.normal(size=(LOSS_ROWS, 6)),
+                  np.arange(LOSS_ROWS) % 4 == 0)
+    y = td_targets(batch.rewards, batch.dones, mlp_forward(target, batch.next_states).max(axis=1), 0.9)
+    loss, grads = td_loss_and_grads(online, target, batch, 0.9)
+    ref_loss, ref_grads = o_q_loss_and_grads(online, batch.states, batch.actions, y)
+    assert loss == ref_loss and np.array_equal(grads, ref_grads)
+
+
+def test_value_loss_is_its_one_body():
+    rng, _, critic, states = loss_inputs(3)
+    assert_same_arithmetic(value_loss, o_value_loss, critic, states, rng.normal(size=LOSS_ROWS))
+
+
+@pytest.mark.parametrize("sign", ADVANTAGE_SIGNS.values(), ids=ADVANTAGE_SIGNS.keys())
+@pytest.mark.parametrize("columns", COLUMNS.values(), ids=COLUMNS.keys())
+def test_policy_gradient_loss_is_its_one_body(columns, sign):
+    rng, actor, _, states = loss_inputs(4)
+    advantages = sign * np.abs(rng.normal(size=LOSS_ROWS))
+    assert_same_arithmetic(policy_gradient_loss, o_policy_gradient_loss, actor, states, columns, advantages, 0.01)
+
+
+@pytest.mark.parametrize("sign", ADVANTAGE_SIGNS.values(), ids=ADVANTAGE_SIGNS.keys())
+@pytest.mark.parametrize("columns", COLUMNS.values(), ids=COLUMNS.keys())
+def test_ppo_policy_loss_is_its_one_body(columns, sign):
+    """Ratios run from 0.5 to 1.5 around a clip range of 0.2: rows below, inside
+    (where surr1 == surr2) and above the clip."""
+    rng, actor, _, states = loss_inputs(5)
+    advantages = sign * np.abs(rng.normal(size=LOSS_ROWS))
+    logp = log_softmax(mlp_forward(actor, states))[np.arange(LOSS_ROWS), columns]
+    logp_old = logp - np.log(np.linspace(0.5, 1.5, LOSS_ROWS))
+    ratio = np.exp(logp - logp_old)
+    clipped = np.clip(ratio, 0.8, 1.2)
+    assert (ratio < 0.8).any() and (ratio > 1.2).any() and (ratio * advantages == clipped * advantages).any()
+    assert_same_arithmetic(ppo_policy_loss, o_ppo_policy_loss, actor, states, columns, logp_old, advantages, 0.2, 0.01)
 
 
 # --- allocation tripwire ------------------------------------------------------------

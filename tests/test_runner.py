@@ -367,6 +367,26 @@ def test_cli_data_too_short_is_data_error(tmp_path, capsys, command, overrides, 
     assert json.loads(lines[0])["type"] == error
 
 
+@pytest.mark.parametrize("bars, error", [(4, "SeriesTooShort"), (5, "TooFewSamples")])
+def test_cli_backtest_of_at_most_one_step_is_data_error(tmp_path, capsys, bars, error):
+    """With ROC(1) and window 3, a 5-bar segment evaluates one step: one return, too few for the report."""
+    series = random_walk_series(60, seed=17)
+    path = tmp_path / "walk.csv"
+    save_csv(series, path)
+    features = {"specs": [{"kind": "ROC", "period": 1}]}
+    assert cli(["train", "--config", str(write_config(tmp_path, path, features=features))]) == EXIT_OK
+    dates = series.dates()
+    segment = {"start": dates[30].isoformat(), "end": dates[30 + bars].isoformat()}  # the end date is excluded
+    cfg = write_config(tmp_path, path, features=features, data=segment)
+    capsys.readouterr()
+    assert cli(["backtest", "--config", str(cfg)]) == EXIT_DATA
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["type"]) == ("data", error)
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
 def test_cli_stoch_k_d_period_is_config_error(tmp_path, data_csv, capsys):
     cfg = write_config(tmp_path, data_csv, features={"specs": [{"kind": "STOCH_K", "d_period": 0}]})
     assert cli(["features", "--config", str(cfg)]) == EXIT_CONFIG
@@ -659,6 +679,22 @@ def test_cli_report_and_compare_bytes_are_pinned(tmp_path, capsys):
         b"n_trades,4,0\n"
         b"max_drawdown_pct,7.000000,0.000000\n"
     )
+
+
+def test_cli_compare_lengthens_colliding_headings(tmp_path, capsys):
+    """Two reports in directories of one name are told apart by their parents; equal paths stay equal."""
+    paths = []
+    for parent, name in (("x", "a"), ("y", "long_run")):
+        (tmp_path / parent / "run").mkdir(parents=True)
+        (tmp_path / parent / "run" / "report.json").write_text(json.dumps(PINNED_REPORTS[name]))
+        paths.append(str(tmp_path / parent / "run" / "report.json"))
+    out = tmp_path / "cmp"
+    assert cli(["compare", *paths, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "metric            x/run       y/run"
+    assert (out / "compare.csv").read_text().splitlines()[0] == "metric,x/run,y/run"
+    assert cli(["compare", paths[0], paths[0], paths[1], "--out", str(out)]) == EXIT_OK
+    whole = "/".join((tmp_path / "x" / "run").parts[1:])
+    assert (out / "compare.csv").read_text().splitlines()[0] == f"metric,{whole},{whole},y/run"
 
 
 @pytest.mark.parametrize("content, named", [
