@@ -49,4 +49,7 @@ def load_policy(path: str | Path) -> MlpPolicy:
     expected = offset + 8 * param_count(sizes)
     if len(data) != expected:
         raise CorruptFile(f"{path}: payload {len(data)} bytes, header implies {expected}")
-    return MlpPolicy.from_flat(sizes, np.frombuffer(data, dtype="<f8", offset=offset))
+    flat = np.frombuffer(data, dtype="<f8", offset=offset)
+    if not np.isfinite(flat).all():
+        raise CorruptFile(f"{path}: non-finite parameters")
+    return MlpPolicy.from_flat(sizes, flat)

@@ -12,34 +12,29 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .base import FeatureColumn
-from .moving import _as_close, _check_period, _sma_array
+from .moving import _as_close, _check_period, _padded, _ratio, _sma_array
 from .trend import _wilder_smooth
 
 
 def mom(close, n: int, name: str | None = None) -> FeatureColumn:
     close = _as_close(close)
     _check_period(n, len(close), n, "MOM")
-    out = np.full(close.shape, np.nan)
-    out[n:] = close[n:] - close[:-n]
-    return FeatureColumn(name or f"MOM_{n}", out, n, "MOM")
+    return FeatureColumn(name or f"MOM_{n}", _padded(len(close), close[n:] - close[:-n]), n, "MOM")
 
 
 def roc(close, n: int, name: str | None = None) -> FeatureColumn:
     """100 * (p_t - p_{t-n}) / p_{t-n}."""
     close = _as_close(close)
     _check_period(n, len(close), n, "ROC")
-    out = np.full(close.shape, np.nan)
-    out[n:] = 100.0 * (close[n:] - close[:-n]) / close[:-n]
+    out = _padded(len(close), 100.0 * (close[n:] - close[:-n]) / close[:-n])
     return FeatureColumn(name or f"ROC_{n}", out, n, "ROC")
 
 
 def _rsi_array(close: np.ndarray, n: int) -> np.ndarray:
-    out = np.full(close.shape, np.nan)
     diffs = np.diff(close)
     avg_gains = _wilder_smooth(np.maximum(diffs, 0.0), n)[n - 1 :].tolist()
     avg_losses = _wilder_smooth(np.maximum(-diffs, 0.0), n)[n - 1 :].tolist()
-    out[n:] = list(map(_rsi_value, avg_gains, avg_losses))
-    return out
+    return _padded(len(close), list(map(_rsi_value, avg_gains, avg_losses)))
 
 
 def _rsi_value(avg_gain: float, avg_loss: float) -> float:
@@ -61,11 +56,7 @@ def cmo(close, n: int, name: str | None = None) -> FeatureColumn:
     diffs = np.diff(close)
     gain_sum = sliding_window_view(np.maximum(diffs, 0.0), n).sum(axis=1)
     loss_sum = sliding_window_view(np.maximum(-diffs, 0.0), n).sum(axis=1)
-    total = gain_sum + loss_sum
-    out = np.full(close.shape, np.nan)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(total > 0.0, 100.0 * (gain_sum - loss_sum) / total, 0.0)
-    out[n:] = ratio
+    out = _padded(len(close), _ratio(100.0 * (gain_sum - loss_sum), gain_sum + loss_sum))
     return FeatureColumn(name or f"CMO_{n}", out, n, "CMO")
 
 
@@ -73,12 +64,7 @@ def _stoch_percent(values: np.ndarray, lows: np.ndarray, highs: np.ndarray, n: i
     """(x - lowest low) / (highest high - lowest low) over trailing n, degenerate -> 0."""
     low_n = sliding_window_view(lows, n).min(axis=1)
     high_n = sliding_window_view(highs, n).max(axis=1)
-    span = high_n - low_n
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pct = np.where(span > 0.0, scale * (values[n - 1 :] - low_n) / span, 0.0)
-    out = np.full(values.shape, np.nan)
-    out[n - 1 :] = pct
-    return out
+    return _padded(len(values), _ratio(scale * (values[n - 1 :] - low_n), high_n - low_n))
 
 
 def stochrsi(close, n: int, name: str | None = None) -> FeatureColumn:
@@ -86,8 +72,7 @@ def stochrsi(close, n: int, name: str | None = None) -> FeatureColumn:
     close = _as_close(close)
     _check_period(n, len(close), 2 * n - 1, "STOCHRSI")
     rsi_vals = _rsi_array(close, n)[n:]
-    out = np.full(close.shape, np.nan)
-    out[2 * n - 1 :] = _stoch_percent(rsi_vals, rsi_vals, rsi_vals, n, 1.0)[n - 1 :]
+    out = _padded(len(close), _stoch_percent(rsi_vals, rsi_vals, rsi_vals, n, 1.0)[n - 1 :])
     return FeatureColumn(name or f"STOCHRSI_{n}", out, 2 * n - 1, "STOCHRSI")
 
 
@@ -102,8 +87,7 @@ def stochastic(high, low, close, n: int, d: int = 3,
     _check_period(n, len(close), n - 1, "STOCH_K")
     _check_period(d, len(close), n + d - 2, "STOCH_D")
     k_vals = _stoch_percent(close, low, high, n, 100.0)
-    d_vals = np.full(close.shape, np.nan)
-    d_vals[n + d - 2 :] = _sma_array(k_vals[n - 1 :], d)[d - 1 :]
+    d_vals = _padded(len(close), _sma_array(k_vals[n - 1 :], d)[d - 1 :])
     k_name, d_name = names or (f"STOCH_K_{n}", f"STOCH_D_{n}_{d}")
     return (
         FeatureColumn(k_name, k_vals, n - 1, "STOCH_K"),

@@ -25,35 +25,39 @@ def _check_period(n: int, length: int, first_defined: int, kind: str) -> None:
         raise PeriodTooLong(f"{kind}({n}): needs {first_defined + 1} bars, series has {length}")
 
 
+def _padded(length: int, values) -> np.ndarray:
+    """A ``length``-cell column ending in ``values``, NaN before them (the warm-up)."""
+    out = np.full(length, np.nan)
+    out[length - len(values) :] = values
+    return out
+
+
+def _ratio(num, den) -> np.ndarray:
+    """num / den where den > 0, else 0: the rule for a degenerate denominator."""
+    return np.divide(num, den, out=np.zeros(np.shape(den)), where=den > 0.0)
+
+
 def _sma_array(x: np.ndarray, n: int) -> np.ndarray:
     """Trailing n-mean, NaN for the first n-1 entries."""
-    out = np.full(x.shape, np.nan)
-    if n <= len(x):
-        out[n - 1 :] = sliding_window_view(x, n).mean(axis=1)
-    return out
+    return _padded(len(x), sliding_window_view(x, n).mean(axis=1) if n <= len(x) else [])
 
 
 def _wma_array(x: np.ndarray, n: int) -> np.ndarray:
-    out = np.full(x.shape, np.nan)
-    if n <= len(x):
-        weights = np.arange(1, n + 1, dtype=float)
-        out[n - 1 :] = sliding_window_view(x, n) @ weights / weights.sum()
-    return out
+    weights = np.arange(1, n + 1, dtype=float)
+    return _padded(len(x), sliding_window_view(x, n) @ weights / weights.sum() if n <= len(x) else [])
 
 
 def _ema_array(x: np.ndarray, n: int) -> np.ndarray:
     """EMA with k = 2/(n+1), seeded by the SMA of the first n values."""
-    out = np.full(x.shape, np.nan)
     if n > len(x):
-        return out
+        return _padded(len(x), [])
     k = 2.0 / (n + 1.0)
     value = float(x[:n].mean())
     values = [value]
     for xt in x[n:].tolist():
         value = k * xt + (1.0 - k) * value
         values.append(value)
-    out[n - 1 :] = values
-    return out
+    return _padded(len(x), values)
 
 
 def sma(close, n: int, name: str | None = None) -> FeatureColumn:
@@ -83,8 +87,7 @@ def trima(close, n: int, name: str | None = None) -> FeatureColumn:
     n1 = math.ceil((n + 1) / 2)
     n2 = math.floor((n + 1) / 2)
     first = _sma_array(close, n1)
-    out = np.full(close.shape, np.nan)
-    out[n - 1 :] = _sma_array(first[n1 - 1 :], n2)[n2 - 1 :]
+    out = _padded(len(close), _sma_array(first[n1 - 1 :], n2)[n2 - 1 :])
     return FeatureColumn(name or f"TRIMA_{n}", out, n - 1, "TRIMA")
 
 
@@ -93,9 +96,7 @@ def _ema_chain(close: np.ndarray, n: int, depth: int) -> list[np.ndarray]:
     level k (from 1) is first defined at k*(n-1)."""
     chain = [_ema_array(close, n)]
     for k in range(1, depth):
-        level = np.full(close.shape, np.nan)
-        level[(k + 1) * (n - 1) :] = _ema_array(chain[-1][k * (n - 1) :], n)[n - 1 :]
-        chain.append(level)
+        chain.append(_padded(len(close), _ema_array(chain[-1][k * (n - 1) :], n)[n - 1 :]))
     return chain
 
 
@@ -121,8 +122,7 @@ def trix(close, n: int, name: str | None = None) -> FeatureColumn:
     _check_period(n, len(close), 3 * (n - 1) + 1, "TRIX")
     e3 = _ema_chain(close, n, 3)[2]
     lo = 3 * (n - 1)
-    out = np.full(close.shape, np.nan)
-    out[lo + 1 :] = 100.0 * (e3[lo + 1 :] - e3[lo:-1]) / e3[lo:-1]
+    out = _padded(len(close), 100.0 * (e3[lo + 1 :] - e3[lo:-1]) / e3[lo:-1])
     return FeatureColumn(name or f"TRIX_{n}", out, lo + 1, "TRIX")
 
 
@@ -135,8 +135,7 @@ def macd(close, fast: int = 12, slow: int = 26, signal: int = 9,
     _check_period(signal, len(close), slow + signal - 2, "MACD_SIGNAL")
     _check_period(slow, len(close), slow - 1, "MACD")
     line = _ema_array(close, fast) - _ema_array(close, slow)
-    sig = np.full(close.shape, np.nan)
-    sig[slow + signal - 2 :] = _ema_array(line[slow - 1 :], signal)[signal - 1 :]
+    sig = _padded(len(close), _ema_array(line[slow - 1 :], signal)[signal - 1 :])
     line_name, sig_name = names or (f"MACD_{fast}_{slow}", f"MACD_SIGNAL_{fast}_{slow}_{signal}")
     return (
         FeatureColumn(line_name, line, slow - 1, "MACD"),

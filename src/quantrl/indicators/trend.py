@@ -11,7 +11,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .base import FeatureColumn
-from .moving import _as_close, _check_period
+from .moving import _as_close, _check_period, _padded, _ratio
 
 
 def _true_range(high: np.ndarray, low: np.ndarray, close: np.ndarray) -> np.ndarray:
@@ -26,32 +26,25 @@ def _true_range(high: np.ndarray, low: np.ndarray, close: np.ndarray) -> np.ndar
 def _wilder_smooth(x: np.ndarray, n: int) -> np.ndarray:
     """Wilder average of x, seeded by mean(x[:n]); output aligned to x with
     the first n-1 entries NaN."""
-    out = np.full(x.shape, np.nan)
     value = float(x[:n].mean())
     values = [value]
     for xt in x[n:].tolist():
         value = (value * (n - 1) + xt) / n
         values.append(value)
-    out[n - 1 :] = values
-    return out
+    return _padded(len(x), values)
 
 
 def atr(high, low, close, n: int, name: str | None = None) -> FeatureColumn:
     high, low, close = _as_close(high), _as_close(low), _as_close(close)
     _check_period(n, len(close), n, "ATR")
-    tr = _true_range(high, low, close)
-    out = np.full(close.shape, np.nan)
-    out[n:] = _wilder_smooth(tr, n)[n - 1 :]
+    out = _padded(len(close), _wilder_smooth(_true_range(high, low, close), n)[n - 1 :])
     return FeatureColumn(name or f"ATR_{n}", out, n, "ATR")
 
 
 def bop(opens, high, low, close, name: str | None = None) -> FeatureColumn:
     """(close - open) / (high - low), 0 when high == low."""
     opens, high, low, close = _as_close(opens), _as_close(high), _as_close(low), _as_close(close)
-    span = high - low
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(span > 0.0, (close - opens) / np.where(span > 0.0, span, 1.0), 0.0)
-    return FeatureColumn(name or "BOP", out, 0, "BOP")
+    return FeatureColumn(name or "BOP", _ratio(close - opens, high - low), 0, "BOP")
 
 
 def cci(high, low, close, n: int, name: str | None = None) -> FeatureColumn:
@@ -62,10 +55,11 @@ def cci(high, low, close, n: int, name: str | None = None) -> FeatureColumn:
     windows = sliding_window_view(tp, n)
     means = windows.mean(axis=1)
     mad = np.abs(windows - means[:, None]).mean(axis=1)
-    out = np.full(close.shape, np.nan)
+    # a flat window reads 0; its mean can round off its value and leave mad > 0
+    flat = np.ptp(windows, axis=1) == 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        out[n - 1 :] = np.where(mad > 0.0, (tp[n - 1 :] - means) / (0.015 * np.where(mad > 0.0, mad, 1.0)), 0.0)
-    return FeatureColumn(name or f"CCI_{n}", out, n - 1, "CCI")
+        value = np.where(flat, 0.0, (tp[n - 1 :] - means) / (0.015 * np.where(flat, 1.0, mad)))
+    return FeatureColumn(name or f"CCI_{n}", _padded(len(close), value), n - 1, "CCI")
 
 
 def adx(high, low, close, n: int, name: str | None = None) -> FeatureColumn:
@@ -85,13 +79,10 @@ def adx(high, low, close, n: int, name: str | None = None) -> FeatureColumn:
     avg_plus = _wilder_smooth(plus_dm, n)[n - 1 :]
     avg_minus = _wilder_smooth(minus_dm, n)[n - 1 :]
     avg_tr = _wilder_smooth(tr, n)[n - 1 :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        di_plus = np.where(avg_tr > 0.0, 100.0 * avg_plus / np.where(avg_tr > 0.0, avg_tr, 1.0), 0.0)
-        di_minus = np.where(avg_tr > 0.0, 100.0 * avg_minus / np.where(avg_tr > 0.0, avg_tr, 1.0), 0.0)
-        di_sum = di_plus + di_minus
-        dx = np.where(di_sum > 0.0, 100.0 * np.abs(di_plus - di_minus) / np.where(di_sum > 0.0, di_sum, 1.0), 0.0)
-    out = np.full(close.shape, np.nan)
-    out[2 * n - 1 :] = _wilder_smooth(dx, n)[n - 1 :]
+    di_plus = _ratio(100.0 * avg_plus, avg_tr)
+    di_minus = _ratio(100.0 * avg_minus, avg_tr)
+    dx = _ratio(100.0 * np.abs(di_plus - di_minus), di_plus + di_minus)
+    out = _padded(len(close), _wilder_smooth(dx, n)[n - 1 :])
     return FeatureColumn(name or f"ADX_{n}", out, 2 * n - 1, "ADX")
 
 
@@ -109,11 +100,9 @@ def uo(high, low, close, periods: tuple[int, int, int] = (7, 14, 28), name: str 
     def ratio(p: int) -> np.ndarray:
         bp_sum = sliding_window_view(bp, p).sum(axis=1)[p3 - p :]
         tr_sum = sliding_window_view(tr, p).sum(axis=1)[p3 - p :]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(tr_sum > 0.0, bp_sum / np.where(tr_sum > 0.0, tr_sum, 1.0), 0.0)
+        return _ratio(bp_sum, tr_sum)
 
-    out = np.full(close.shape, np.nan)
-    out[p3:] = 100.0 * (4.0 * ratio(p1) + 2.0 * ratio(p2) + ratio(p3)) / 7.0
+    out = _padded(len(close), 100.0 * (4.0 * ratio(p1) + 2.0 * ratio(p2) + ratio(p3)) / 7.0)
     return FeatureColumn(name or "UO_{}_{}_{}".format(*periods), out, p3, "UO")
 
 
@@ -138,7 +127,6 @@ def sar(high, low, close, accel_start: float = 0.02, accel_step: float = 0.02,
         raise ValueError("SAR: need 0 < accel_start <= accel_max and accel_step > 0")
     if len(close) < 2:
         raise ValueError("SAR: needs at least 2 bars")
-    out = np.full(close.shape, np.nan)
     long = close[1] >= close[0]
     high, low = high.tolist(), low.tolist()
     if long:
@@ -162,5 +150,4 @@ def sar(high, low, close, accel_start: float = 0.02, accel_step: float = 0.02,
             elif low[t] < ep:
                 ep, af = low[t], min(af + accel_step, accel_max)
         values.append(value)
-    out[1:] = values
-    return FeatureColumn(name or "SAR", out, 1, "SAR")
+    return FeatureColumn(name or "SAR", _padded(len(close), values), 1, "SAR")

@@ -6,7 +6,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .base import FeatureColumn
-from .moving import _as_close, _check_period
+from .moving import _as_close, _check_period, _padded, _ratio
 
 
 def obv(close, volume, name: str | None = None) -> FeatureColumn:
@@ -38,12 +38,5 @@ def mfi(high, low, close, volume, n: int, name: str | None = None) -> FeatureCol
     direction = np.sign(np.diff(tp))
     pos = sliding_window_view(np.where(direction > 0, raw_flow, 0.0), n).sum(axis=1)
     neg = sliding_window_view(np.where(direction < 0, raw_flow, 0.0), n).sum(axis=1)
-    out = np.full(close.shape, np.nan)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        value = np.where(
-            neg > 0.0,
-            100.0 - 100.0 / (1.0 + pos / np.where(neg > 0.0, neg, 1.0)),
-            np.where(pos > 0.0, 100.0, 0.0),
-        )
-    out[n:] = value
-    return FeatureColumn(name or f"MFI_{n}", out, n, "MFI")
+    value = np.where(neg > 0.0, 100.0 - 100.0 / (1.0 + _ratio(pos, neg)), np.where(pos > 0.0, 100.0, 0.0))
+    return FeatureColumn(name or f"MFI_{n}", _padded(len(close), value), n, "MFI")

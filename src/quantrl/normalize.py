@@ -230,42 +230,35 @@ def pearson_corr_matrix(
     if raw.shape[0] < 2:
         raise EmptyInput(f"only {raw.shape[0]} commonly defined rows, need >= 2")
     names = tuple(features.names)
-    k = len(names)
-    transformed = np.empty_like(raw)
-    degenerate = []
-    for j, col in enumerate(features.columns):
-        # a raw-constant column is degenerate before any scaling, which keeps
-        # L2 and WindowLog away from it
-        if np.ptp(raw[:, j]) == 0.0:
-            degenerate.append(col.name)
-            transformed[:, j] = 0.0
-            continue
+    # a raw-constant column is degenerate before any scaling, which keeps
+    # L2 and WindowLog away from it
+    constant = np.ptp(raw, axis=0) == 0.0
+    transformed = np.zeros_like(raw)
+    for j in np.flatnonzero(~constant):
+        col = features.columns[j]
         col_kind = (overrides or {}).get(col.kind, kind)
         transformed[:, j] = normalize(col_kind, raw[:, j : j + 1], (col.name,), start)[:, 0]
-    matrix = np.eye(k)
-    live = [j for j in range(k) if names[j] not in degenerate]
     # a nonlinear transform can flatten a non-constant column; recheck
-    for j in live[:]:
-        if np.ptp(transformed[:, j]) == 0.0:
-            live.remove(j)
-            degenerate.append(names[j])
+    flattened = ~constant & (np.ptp(transformed, axis=0) == 0.0)
+    live = np.flatnonzero(~constant & ~flattened)
+    matrix = np.eye(len(names))
     if len(live) >= 2:
         sub = np.corrcoef(transformed[:, live], rowvar=False)
         sub = np.clip((sub + sub.T) / 2.0, -1.0, 1.0)
         np.fill_diagonal(sub, 1.0)
-        for a, ja in enumerate(live):
-            for b, jb in enumerate(live):
-                matrix[ja, jb] = sub[a, b]
+        matrix[np.ix_(live, live)] = sub
         # identical (or exactly negated) columns must correlate at exactly +-1,
         # not at corrcoef's rounding of it, so the duplicate-drop rule holds
-        for a, ja in enumerate(live):
-            za = transformed[:, ja] - transformed[:, ja].mean()
-            for jb in live[a + 1 :]:
-                zb = transformed[:, jb] - transformed[:, jb].mean()
-                if np.array_equal(za, zb):
-                    matrix[ja, jb] = matrix[jb, ja] = 1.0
-                elif np.array_equal(za, -zb):
-                    matrix[ja, jb] = matrix[jb, ja] = -1.0
+        for j in live:
+            transformed[:, j] -= transformed[:, j].mean()
+        rows, cols = np.triu_indices(len(live), 1)
+        for ja, jb in zip(live[rows], live[cols]):
+            za, zb = transformed[:, ja], transformed[:, jb]
+            if np.array_equal(za, zb):
+                matrix[ja, jb] = matrix[jb, ja] = 1.0
+            elif np.array_equal(za, -zb):
+                matrix[ja, jb] = matrix[jb, ja] = -1.0
+    degenerate = [names[j] for j in np.flatnonzero(constant)] + [names[j] for j in np.flatnonzero(flattened)]
     return CorrelationMatrix(names=names, values=matrix, degenerate=tuple(degenerate))
 
 

@@ -109,6 +109,8 @@ def _load_series(cfg: ExperimentConfig):
         dates = series.dates()
         start = cfg.data.start or dates[0]
         end = cfg.data.end or dates[-1] + timedelta(days=1)
+        if start > end:  # the one bound given lies beyond the data
+            raise EmptySeries(f"{series.symbol}: 0 bars in [{start}, {end}), the data covers {dates[0]}..{dates[-1]}")
         series = slice_by_date(series, start, end)
     return series
 
@@ -146,6 +148,8 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_corr(args) -> int:
+    if not 0.0 <= args.threshold <= 1.0:
+        raise SchemaError("--threshold", f"must be in [0, 1], got {args.threshold}")
     cfg = _effective_config(args)
     series = _load_series(cfg)
     features = compute_feature_matrix(series, cfg.specs)

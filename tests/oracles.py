@@ -231,7 +231,7 @@ def o_cci(high, low, close, n):
         window = tp[t - n + 1 : t + 1]
         mean = sum(window) / n
         mad = sum(abs(v - mean) for v in window) / n
-        out[t] = (tp[t] - mean) / (0.015 * mad) if mad > 0 else 0.0
+        out[t] = (tp[t] - mean) / (0.015 * mad) if max(window) > min(window) else 0.0
     return out
 
 

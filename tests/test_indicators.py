@@ -342,6 +342,32 @@ def test_obv_recurrence(walk):
             assert col[t] == col[t - 1]
 
 
+@pytest.mark.parametrize("kind", ["BOP", "CCI", "ADX", "UO", "CMO", "STOCH_K", "STOCH_D", "STOCHRSI", "MFI"])
+def test_degenerate_denominator_reads_zero(kind):
+    """A zero denominator reads exactly 0: on a fully flat series, and on a flat
+    stretch at the rows whose window lies inside it. There each kind's window is
+    its warm-up; ADX and STOCHRSI smooth over all history, so only the fully flat
+    series reaches their rule."""
+    flat = np.full(60, 5.0)
+    flat_series = make_series(flat, opens=flat, highs=flat, lows=flat)
+    column = compute_feature_matrix(flat_series, [IndicatorSpec(kind)]).columns[0]
+    assert (column.defined == 0.0).all()
+    if kind not in ("ADX", "STOCHRSI"):
+        walk = random_walk_series(200, seed=7)
+        lo, hi = 80, 130
+        ohlc = [walk.opens().copy(), walk.highs().copy(), walk.lows().copy(), walk.closes().copy()]
+        for values in ohlc:
+            values[lo:hi] = walk.closes()[lo]
+        opens, highs, lows, closes = ohlc
+        stretch = make_series(closes, opens=opens, highs=highs, lows=lows, volumes=walk.volumes())
+        column = compute_feature_matrix(stretch, [IndicatorSpec(kind)]).columns[0]
+        assert (column.values[lo + column.warmup : hi] == 0.0).all()
+        assert (column.defined[:lo] != 0.0).any()
+    if kind == "MFI":
+        falling = make_series(np.linspace(200.0, 100.0, 80))
+        assert (mfi(falling.highs(), falling.lows(), falling.closes(), falling.volumes(), 14).defined == 0.0).all()
+
+
 def test_period_too_long():
     with pytest.raises(PeriodTooLong):
         sma(np.arange(1.0, 5.0), 10)

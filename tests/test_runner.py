@@ -418,14 +418,15 @@ def test_cli_missing_data_file(tmp_path):
 
 @pytest.mark.parametrize("fault, error", [
     ("missing", "FileNotFoundError"), ("truncated", "CorruptFile"), ("zero-layers", "CorruptFile"),
-    ("zero-sized-layer", "CorruptFile"), ("directory", "IsADirectoryError"),
+    ("zero-sized-layer", "CorruptFile"), ("directory", "IsADirectoryError"), ("non-finite", "CorruptFile"),
 ])
 def test_cli_bad_policy_file_is_data_error(tmp_path, data_csv, capsys, fault, error):
     cfg = write_config(tmp_path, data_csv, agent={"total_timesteps": 50})
     policy = tmp_path / "run" / "policy.bin"
-    if fault == "truncated":
+    if fault in ("truncated", "non-finite"):
         assert cli(["train", "--config", str(cfg)]) == EXIT_OK
-        policy.write_bytes(policy.read_bytes()[:-8])
+        last = struct.pack("<d", float("nan")) if fault == "non-finite" else b""
+        policy.write_bytes(policy.read_bytes()[:-8] + last)
     elif fault == "directory":
         policy.mkdir(parents=True)
     elif fault != "missing":
@@ -439,6 +440,18 @@ def test_cli_bad_policy_file_is_data_error(tmp_path, data_csv, capsys, fault, er
     payload = json.loads(lines[0])
     assert (payload["error"], payload["type"]) == ("data", error)
     assert str(policy) in payload["message"]
+
+
+@pytest.mark.parametrize("bound", [{"start": "2035-01-01"}, {"end": "1990-01-01"}])
+def test_cli_range_beyond_the_data_is_empty_series(tmp_path, data_csv, capsys, bound):
+    cfg = write_config(tmp_path, data_csv, data=bound)
+    assert cli(["ingest", "--config", str(cfg)]) == EXIT_DATA
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["type"]) == ("data", "EmptySeries")
+    assert payload["message"].startswith("walk: 0 bars in [")
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_malformed_data(tmp_path):
@@ -476,6 +489,18 @@ def test_cli_corr_matrix_shape(tmp_path, data_csv):
     assert float(lines[2].split(",")[2]) == 1.0
     selected = json.loads((tmp_path / "run" / "selected.json").read_text())
     assert set(selected) == {"threshold", "selected", "degenerate"}
+
+
+@pytest.mark.parametrize("threshold", ["1.5", "-0.1", "nan", "inf"])
+def test_cli_corr_threshold_outside_unit_interval_is_config_error(tmp_path, data_csv, capsys, threshold):
+    cfg = write_config(tmp_path, data_csv)
+    assert cli(["corr", "--config", str(cfg), f"--threshold={threshold}"]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["type"]) == ("config", "SchemaError")
+    assert payload["message"].startswith("--threshold: must be in [0, 1]")
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_corr_default_20_specs(tmp_path):
