@@ -53,9 +53,10 @@ def sell_thresholds(actor: MlpPolicy, rows: np.ndarray) -> np.ndarray:
 
 
 class _Rollout:
-    """n_steps transitions. ``rows`` holds the observation-table row of each
-    step and, last, of the observation after the rollout; when the rollout is
-    full, ``states`` is set to the steps' observations, gathered at once."""
+    """n_steps transitions. ``rows`` holds the observation row
+    (``env.observation_index``) of each step and, last, of the observation
+    after the rollout; when the rollout is full, ``states`` is set to the
+    steps' observations, gathered at once."""
 
     def __init__(self, n_steps: int):
         self.rows = np.zeros(n_steps + 1, dtype=np.intp)

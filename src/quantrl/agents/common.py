@@ -101,14 +101,14 @@ def epsilon_greedy(action_values: np.ndarray, epsilon: float, rng: np.random.Gen
 
 class RowBlocks:
     """Per-row values of a network that stays frozen while an env steps,
-    evaluated over a block of observation-table rows at a time instead of
-    over one observation per step.
+    evaluated over a block of observation rows at a time instead of over one
+    observation per step.
 
     ``evaluate`` maps an array of observation rows to one value per row.
     ``current()`` returns the value at ``env.observation_index``; when that
     row lies outside the current block, it first evaluates a new block of
-    ``size`` rows (fewer at the end of the table) starting at it. Call
-    ``invalidate()`` whenever the network changes.
+    ``size`` rows (fewer past the last row) from ``env.observation_rows``,
+    starting at it. Call ``invalidate()`` whenever the network changes.
     """
 
     def __init__(self, env, evaluate, size: int):

@@ -5,9 +5,11 @@ transitions; the target network is copied from the online network every
 target_update_interval env steps.
 
 An observation is a function of the env's cursor and position, so the
-trainer keeps the env's table of every observation, the replay buffer
-stores row indices into it, and max_a Q_target is evaluated over the whole
-table once per target sync instead of over each batch.
+replay buffer stores observation rows (``env.observation_index``) and no
+observation is kept: each batch is gathered with ``env.observations`` into
+one preallocated buffer, and max_a Q_target is evaluated for every row once
+per target sync, ``TARGET_BLOCK_ROWS`` rows of ``env.observation_rows`` per
+forward pass, instead of over each batch.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from .common import Hyperparams, Learner, TrainingLog, TrainingRecord, explorato
 from .losses import squared_error_loss
 from .mlp import MlpPolicy, init_mlp, mlp_forward
 from .replay import Batch, ReplayBuffer
+
+# Rows per target forward pass; a multiple of 8, so every block is whole gemm
+# row tiles.
+TARGET_BLOCK_ROWS = 128
 
 
 def td_targets(rewards: np.ndarray, dones: np.ndarray, next_q_max: np.ndarray, gamma: float) -> np.ndarray:
@@ -45,12 +51,14 @@ class DqnTrainer:
         sizes = [env.observation_size, *hyperparams.hidden_sizes, 2]
         self.policy = init_mlp(sizes, self.rng)
         self.target = self.policy.copy()
-        table = env.observation_table()
-        # Zero rows pad the table to a multiple of 8 rows so that every real row
-        # sits in a full gemm row tile; rows of a partial tile can round
-        # differently from the same rows in a per-batch forward pass.
-        self.observations = np.pad(table, ((0, -len(table) % 8), (0, 0)))
-        self.next_q_max = self._target_q_max()
+        rows = (len(env.series) - env.start_cursor) * (2 if env.config.include_position_flag else 1)
+        self.next_q_max = np.empty(rows)
+        # Zero rows pad the last target block to a multiple of 8 rows so that
+        # every real row sits in a full gemm row tile; rows of a partial tile
+        # can round differently from the same rows in a per-batch forward pass.
+        tail = rows % TARGET_BLOCK_ROWS
+        self._padded_tail = np.zeros((tail + -tail % 8, env.observation_size))
+        self._target_q_max()
         # The ring never holds more than total_timesteps transitions, so a larger
         # batch is never sampled. numpy refuses an array too large with
         # MemoryError or ValueError.
@@ -59,7 +67,9 @@ class DqnTrainer:
         except (MemoryError, ValueError) as exc:
             raise SchemaError("agent.buffer_size", f"the replay ring cannot be allocated: {exc}") from exc
         try:
-            self.learner = Learner(self.policy, hyperparams, min(hyperparams.batch_size, hyperparams.total_timesteps))
+            batch_rows = min(hyperparams.batch_size, hyperparams.total_timesteps)
+            self.learner = Learner(self.policy, hyperparams, batch_rows)
+            self._states = np.empty((batch_rows, env.observation_size))
         except (MemoryError, ValueError) as exc:
             raise SchemaError("agent.batch_size", f"the learn-step workspace cannot be allocated: {exc}") from exc
         self.log = TrainingLog()
@@ -79,15 +89,22 @@ class DqnTrainer:
             self.hp.exploration_fraction,
         )
 
-    def _target_q_max(self) -> np.ndarray:
-        """max_a Q_target(s, a) for every row of the observation table."""
-        return mlp_forward(self.target, self.observations).max(axis=1)
+    def _target_q_max(self) -> None:
+        """Write max_a Q_target(s, a) for every observation row into ``next_q_max``."""
+        rows = len(self.next_q_max)
+        for lo in range(0, rows, TARGET_BLOCK_ROWS):
+            hi = min(lo + TARGET_BLOCK_ROWS, rows)
+            block = self.env.observation_rows(lo, hi)
+            if hi - lo < TARGET_BLOCK_ROWS:
+                self._padded_tail[: hi - lo] = block
+                block = self._padded_tail
+            self.next_q_max[lo:hi] = mlp_forward(self.target, block)[: hi - lo].max(axis=1)
 
     def train_step(self) -> None:
         eps = self.epsilon
         action = exploratory_action(eps, self.policy.output_size, self.rng)
         if action is None:
-            action = int(mlp_forward(self.policy, self.observations[self._obs_index]).argmax())
+            action = int(mlp_forward(self.policy, self.env.observations(self._obs_index)).argmax())
         result = self.env.step(action)
         next_index = self.env.observation_index
         self.buffer.push(self._obs_index, action, result.reward, next_index, result.done)
@@ -97,16 +114,15 @@ class DqnTrainer:
         if len(self.buffer) >= self.hp.batch_size:
             batch = self.buffer.sample(self.hp.batch_size, self.rng)
             y = td_targets(batch.rewards, batch.dones, self.next_q_max[batch.next_states], self.hp.gamma)
-            loss, grads = squared_error_loss(
-                self.policy, self.observations[batch.states], batch.actions, y, self.learner.workspace
-            )
+            states = self.env.observations(batch.states, out=self._states)
+            loss, grads = squared_error_loss(self.policy, states, batch.actions, y, self.learner.workspace)
             if not math.isfinite(loss):
                 raise TrainingDiverged(self.step_count, loss)
             self.learner.step(grads)
             self.last_loss = loss
         if self.step_count % self.hp.target_update_interval == 0:
             self.target = self.policy.copy()
-            self.next_q_max = self._target_q_max()
+            self._target_q_max()
         if result.done:
             self.log.append(TrainingRecord(self.step_count, self._episode_return, self.last_loss, eps))
             self._episode_return = 0.0

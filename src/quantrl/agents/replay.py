@@ -22,7 +22,8 @@ class ReplayBuffer:
     """Ring buffer of transitions; the oldest entry is evicted at capacity.
 
     Sampling is uniform with replacement from the stored transitions,
-    driven by the caller's generator. States are observation-table rows.
+    driven by the caller's generator. States are observation rows
+    (``TradingEnv.observation_index``).
     """
 
     def __init__(self, capacity: int):

@@ -82,11 +82,11 @@ def greedy_path(env: TradingEnv, policy: MlpPolicy) -> list[int]:
     current state to the last bar, without stepping the env.
 
     The frozen policy's greedy action (argmax, ties to Sell) is read once for
-    every ``observation_table()`` row the rest of the episode can reach,
-    ``BACKTEST_BLOCK_ROWS`` rows per forward pass. With the position flag on,
-    the visited rows then follow from a scan of the two-state automaton
-    ``position = actions[2 * t + position]``; with it off, the path is the
-    table itself.
+    every observation row (``env.observation_index``) the rest of the episode
+    can reach, ``BACKTEST_BLOCK_ROWS`` rows of ``env.observation_rows`` per
+    forward pass. With the position flag on, the visited rows then follow
+    from a scan of the two-state automaton ``position = actions[2 * t +
+    position]``; with it off, the path is the row actions themselves.
     """
     per_cursor = 2 if env.config.include_position_flag else 1
     first = (env.cursor - env.start_cursor) * per_cursor

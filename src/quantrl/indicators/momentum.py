@@ -3,7 +3,7 @@
 RSI smooths gains and losses with ``trend._wilder_smooth`` (seeded by the
 simple average of the first n, then avg_t = (avg_{t-1}*(n-1) + x_t)/n).
 Degenerate windows follow the documented rules: flat window -> 0, all-gain
-window -> RSI 100.
+window -> RSI 100, an RSI window whose span is rounding -> STOCHRSI 0.
 """
 
 from __future__ import annotations
@@ -68,11 +68,18 @@ def _stoch_percent(values: np.ndarray, lows: np.ndarray, highs: np.ndarray, n: i
 
 
 def stochrsi(close, n: int, name: str | None = None) -> FeatureColumn:
-    """Stochastic formula applied to the n-period RSI, output in [0, 1]."""
+    """Stochastic formula applied to the n-period RSI, output in [0, 1].
+
+    On a flat stretch RSI is constant in exact arithmetic but differs in its
+    last ulps in floats, so a window whose RSI span is at most 8 ulps of its
+    largest RSI is degenerate and reads 0."""
     close = _as_close(close)
     _check_period(n, len(close), 2 * n - 1, "STOCHRSI")
     rsi_vals = _rsi_array(close, n)[n:]
-    out = _padded(len(close), _stoch_percent(rsi_vals, rsi_vals, rsi_vals, n, 1.0)[n - 1 :])
+    low = sliding_window_view(rsi_vals, n).min(axis=1)
+    high = sliding_window_view(rsi_vals, n).max(axis=1)
+    span = np.where(high - low > 8.0 * np.spacing(high), high - low, 0.0)
+    out = _padded(len(close), _ratio(rsi_vals[n - 1 :] - low, span))
     return FeatureColumn(name or f"STOCHRSI_{n}", out, 2 * n - 1, "STOCHRSI")
 
 

@@ -70,8 +70,9 @@ class EnvConfig:
 class ObservationWindow:
     """window_size x n_features block of normalized values, newest row last,
     plus the optional trailing position flag (0 = Short, 1 = Long). The env
-    builds none: agents read ``observation_table()`` rows. The benchmark
-    traces ``flatten`` by name, so the class stays until that trace goes."""
+    builds none: agents read observation rows (``TradingEnv.observation_index``)
+    through ``observation_rows`` and ``observations``. The benchmark traces
+    ``flatten`` by name, so the class stays until that trace goes."""
 
     values: np.ndarray
     position_flag: float | None = None
@@ -225,15 +226,9 @@ class TradingEnv:
         table.flags.writeable = False
         return table
 
-    def observation_table(self) -> np.ndarray:
-        """Every observation the env can produce, one flattened observation per
-        row, indexed by ``observation_index``: per cursor, the Short-flag row then
-        the Long-flag row, or the window alone when the flag is off."""
-        return self.observation_rows(0, len(self._windows) * (2 if self._flagged else 1))
-
     def observation_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``lo..hi-1`` of ``observation_table()`` (clipped at its end like
-        a slice), built from the window table without building the whole table."""
+        """Observation rows ``lo..hi-1`` (see ``observation_index``), clipped at
+        the last row like a slice, built from the window table as a new array."""
         if not self._flagged:
             return self._windows[lo:hi].copy()
         first = lo // 2
@@ -243,17 +238,29 @@ class TradingEnv:
         rows[:, :, -1] = (Position.SHORT, Position.LONG)
         return rows.reshape(2 * len(windows), -1)[lo - 2 * first : hi - 2 * first]
 
-    def observations(self, rows) -> np.ndarray:
-        """Rows ``rows`` of ``observation_table()`` (any order, repeats allowed),
-        gathered from the window table into a new C-contiguous array."""
+    def observations(self, rows, out: np.ndarray | None = None) -> np.ndarray:
+        """Observation rows ``rows`` (see ``observation_index``; any order,
+        repeats allowed, one int for a single row), gathered from the window
+        table into ``out`` when given, else into a new C-contiguous array.
+        Returns the array written."""
         rows = np.asarray(rows, dtype=np.intp)
-        if not self._flagged:
-            return self._windows[rows]
-        return np.column_stack((self._windows[rows // 2], rows % 2))
+        if out is None:
+            out = np.empty((*rows.shape, self.observation_size))
+        if self._flagged:
+            windows, flags = np.divmod(rows, 2)
+            out[..., :-1] = self._windows[windows]
+            out[..., -1] = flags
+        else:
+            out[...] = self._windows[rows]
+        return out
 
     @property
     def observation_index(self) -> int:
-        """Row of ``observation_table()`` equal to the current observation."""
+        """The current observation's row in the env's observation row space,
+        which ``observation_rows`` and ``observations`` read: per cursor from
+        ``start_cursor`` to the last bar, the window then the Short flag (row
+        2k) and the window then the Long flag (row 2k + 1), or the window alone
+        (row k) when the flag is off. No path builds the whole space."""
         row = self._cursor - self._start
         return 2 * row + int(self._position) if self.config.include_position_flag else row
 

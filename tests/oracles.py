@@ -4,9 +4,10 @@ Everything here is written directly from the defining formulas with plain
 Python loops and window recomputation - no shared code with the package
 and no incremental shortcuts beyond the definitions themselves. The
 exceptions use the package: ``observe`` reads its env's current
-observation, ``o_run_policy`` drives its env bar by bar, and the four
-``o_*_loss*`` bodies run its network passes, which ``o_forward_cached``
-and ``o_mlp_backward`` pin separately.
+observation and ``observation_table`` all of its observation rows,
+``o_run_policy`` drives its env bar by bar, and the four ``o_*_loss*``
+bodies run its network passes, which ``o_forward_cached`` and
+``o_mlp_backward`` pin separately.
 """
 
 import csv
@@ -165,7 +166,9 @@ def o_stochrsi(close, n):
     for t in range(2 * n - 1, len(close)):
         window = r[t - n + 1 : t + 1]
         hi, lo = max(window), min(window)
-        out[t] = (r[t] - lo) / (hi - lo) if hi > lo else 0.0
+        # RSI on a flat stretch differs only in its last ulps: a span of at most
+        # 8 ulps of the window's largest |RSI| is rounding, and reads 0
+        out[t] = (r[t] - lo) / (hi - lo) if hi - lo > 8 * math.ulp(max(abs(v) for v in window)) else 0.0
     return out
 
 
@@ -648,11 +651,16 @@ def o_corr_matrix(common, kinds):
 # --- the env's current observation and the per-bar greedy backtest ----------------
 
 
+def observation_table(env):
+    """Every observation row of ``env`` (see ``TradingEnv.observation_index``), in order."""
+    return env.observation_rows(0, (len(env.series) - env.start_cursor) * (2 if env.config.include_position_flag else 1))
+
+
 def observe(env):
     """The observation at the env's cursor and position: a read-only view of
     its window table's row for the cursor, window_size x n_features, plus the
     position flag when the env has one. Agents read the same values as
-    ``observation_table()`` rows."""
+    observation rows (``env.observations(env.observation_index)``)."""
     from quantrl.trading_env import ObservationWindow
 
     values = env._windows[env.cursor - env.start_cursor].reshape(env.config.window_size, -1)

@@ -5,8 +5,8 @@ import pytest
 
 import quantrl.agents.a2c as a2c_module
 from conftest import random_walk_series
-from oracles import observe
-from quantrl import EnvConfig, IndicatorSpec, NormalizationKind, TradingEnv, compute_feature_matrix
+from oracles import observation_table, observe
+from quantrl import EnvConfig, IndicatorSpec, NormalizationKind, TradingEnv, compute_feature_matrix, default_specs
 from quantrl.agents import (
     ActorCritic,
     DqnTrainer,
@@ -28,6 +28,7 @@ from quantrl.agents import (
     value_loss,
 )
 from quantrl.agents.a2c import train_on_policy
+from quantrl.agents.dqn import TARGET_BLOCK_ROWS
 from quantrl.backtest import run_policy
 from quantrl.errors import BufferTooSmall, CorruptFile, TrainingDiverged
 
@@ -208,6 +209,34 @@ def test_dqn_next_q_max_lookup_matches_batch_forward():
         reference = mlp_forward(trainer.target, np.array(next_observations)).max(axis=1)
         np.testing.assert_allclose(looked_up, reference, rtol=1e-12, atol=0.0)
     assert trainer.buffer._dones[: len(trainer.buffer)].any()
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_dqn_target_blocks_equal_padded_table_forward(flag):
+    """max_a Q_target is evaluated in TARGET_BLOCK_ROWS-row blocks, the last one
+    zero-padded to a multiple of 8 rows. Each row's value is byte-equal to the
+    row's in one forward pass over every observation row padded to a multiple
+    of 8 rows, at construction and after a target sync."""
+    series = random_walk_series(227, seed=5)
+    env = TradingEnv(series, compute_feature_matrix(series, default_specs()), EnvConfig(include_position_flag=flag))
+    assert len(series) - env.start_cursor == 131
+    hp = tiny_hp(batch_size=32, buffer_size=1000, target_update_interval=50, total_timesteps=1000,
+                 hidden_sizes=(64, 64))
+    trainer = DqnTrainer(env, hp, seed=0)
+    table = observation_table(env)
+    rows = len(table)
+    assert rows > TARGET_BLOCK_ROWS and rows % 8 and rows % TARGET_BLOCK_ROWS
+    padded = np.pad(table, ((0, -rows % 8), (0, 0)))
+
+    def reference():
+        return mlp_forward(trainer.target, padded).max(axis=1)[:rows]
+
+    assert trainer.next_q_max[:rows].tobytes() == reference().tobytes()
+    first = trainer.target.flat.copy()
+    while trainer.step_count < hp.target_update_interval:
+        trainer.train_step()
+    assert not np.array_equal(trainer.target.flat, first)
+    assert trainer.next_q_max[:rows].tobytes() == reference().tobytes()
 
 
 def test_dqn_epsilon_anneals():

@@ -346,13 +346,13 @@ def test_obv_recurrence(walk):
 def test_degenerate_denominator_reads_zero(kind):
     """A zero denominator reads exactly 0: on a fully flat series, and on a flat
     stretch at the rows whose window lies inside it. There each kind's window is
-    its warm-up; ADX and STOCHRSI smooth over all history, so only the fully flat
-    series reaches their rule."""
+    its warm-up; STOCHRSI's RSI window differs there only in its last ulps. ADX
+    smooths over all history, so only the fully flat series reaches its rule."""
     flat = np.full(60, 5.0)
     flat_series = make_series(flat, opens=flat, highs=flat, lows=flat)
     column = compute_feature_matrix(flat_series, [IndicatorSpec(kind)]).columns[0]
     assert (column.defined == 0.0).all()
-    if kind not in ("ADX", "STOCHRSI"):
+    if kind != "ADX":
         walk = random_walk_series(200, seed=7)
         lo, hi = 80, 130
         ohlc = [walk.opens().copy(), walk.highs().copy(), walk.lows().copy(), walk.closes().copy()]
@@ -366,6 +366,26 @@ def test_degenerate_denominator_reads_zero(kind):
     if kind == "MFI":
         falling = make_series(np.linspace(200.0, 100.0, 80))
         assert (mfi(falling.highs(), falling.lows(), falling.closes(), falling.volumes(), 14).defined == 0.0).all()
+
+
+def test_stochrsi_keeps_a_tiny_real_span():
+    """A step of 2e-11 inside a flat stretch moves RSI by about 1e-9, far more
+    than its rounding: STOCHRSI reads the plain ratio on the 13 rows whose RSI
+    window holds the step, and the degenerate 0 again once the window is flat."""
+    walk = random_walk_series(200, seed=7)
+    closes = walk.closes().copy()
+    closes[80:130] = closes[80]
+    closes[110:130] += 2e-11
+    column = stochrsi(closes, 14)
+    r = rsi(closes, 14).values
+    rows = range(110, 123)
+    spans = [r[t - 13 : t + 1].max() - r[t - 13 : t + 1].min() for t in rows]
+    assert 1e-10 < min(spans) and max(spans) < 1e-8
+    expected = [(r[t] - r[t - 13 : t + 1].min()) / span for t, span in zip(rows, spans)]
+    assert column.values[110:123].tolist() == expected
+    assert column.values[110] == 1.0
+    assert (column.values[123:130] == 0.0).all()
+    assert_matches_oracle(column, oracles.o_stochrsi(closes.tolist(), 14))
 
 
 def test_period_too_long():

@@ -246,3 +246,46 @@ def test_dqn_learn_step_allocates_little_beyond_its_gather():
     gather_bytes = hp.batch_size * trainer.policy.input_size * 8
     param_bytes = trainer.policy.flat.nbytes
     assert peak < gather_bytes + param_bytes, f"traced peak {peak} B"
+
+
+def test_dqn_learn_step_without_the_flag_allocates_little_beyond_its_gather():
+    """The bound above with the position flag off, where the batch gather copies
+    window rows alone (200 wide)."""
+    series = random_walk_series(300, seed=7)
+    env = TradingEnv(series, compute_feature_matrix(series, default_specs()), EnvConfig(include_position_flag=False))
+    hp = Hyperparams(batch_size=128, buffer_size=1000, total_timesteps=10_000, hidden_sizes=(64, 64))
+    trainer = DqnTrainer(env, hp, seed=0)
+    assert trainer.policy.input_size == 200
+    while trainer.step_count < hp.batch_size + 16:
+        trainer.train_step()
+    tracemalloc.start()
+    try:
+        for _ in range(50):
+            trainer.train_step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gather_bytes = hp.batch_size * trainer.policy.input_size * 8
+    param_bytes = trainer.policy.flat.nbytes
+    assert peak < gather_bytes + param_bytes, f"traced peak {peak} B"
+
+
+def test_dqn_trainer_memory_does_not_grow_with_the_series():
+    """The trainer keeps no observation table: building it and taking 300 steps
+    on a 5,000-bar walk with the default indicators, env and hyperparameters
+    (3,000 timesteps, the benchmark's default-DQN length, so the replay ring
+    holds 3,000 transitions) peaks near 1.7 MB. A trainer that pads and
+    evaluates the whole 9,808-row table peaks near 47 MB."""
+    series = random_walk_series(5000, seed=7)
+    env = TradingEnv(series, compute_feature_matrix(series, default_specs()), EnvConfig())
+    hp = Hyperparams(total_timesteps=3000)
+    tracemalloc.start()
+    try:
+        trainer = DqnTrainer(env, hp, seed=0)
+        for _ in range(300):
+            trainer.train_step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trainer.next_q_max) == 2 * (len(series) - env.start_cursor)
+    assert peak < 4_000_000, f"traced peak {peak} B"

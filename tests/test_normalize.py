@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_walk_series
+from oracles import observation_table
 from quantrl import (
     IndicatorSpec,
     NormalizationKind,
@@ -317,7 +318,7 @@ def test_env_normalization_bit_equal_to_per_column_reference(kind, frozen, flag)
                                                      include_position_flag=flag), stats=stats)
         reference_stats = None if stats is None else [(s.mean, s.std, s.min, s.max) for s in stats]
         expected = _expected_table(features, kind, window, flag, reference_stats)
-        table = env.observation_table()
+        table = observation_table(env)
         assert table.shape == expected.shape
         assert table.tobytes() == expected.tobytes()
 
@@ -362,8 +363,8 @@ def test_env_takes_frozen_stats_for_l2_and_window_log(kind):
     head = _pin_features(kind, OhlcvSeries(series.symbol, series.bars[:90]))
     stats = [fit(col.defined) for col in head.columns]
     config = EnvConfig(window_size=4, normalization=kind, include_position_flag=False)
-    table = TradingEnv(series, features, config, stats=stats).observation_table()
-    fitted = TradingEnv(series, features, config).observation_table()
+    table = observation_table(TradingEnv(series, features, config, stats=stats))
+    fitted = observation_table(TradingEnv(series, features, config))
     if kind == NormalizationKind.WINDOW_LOG:
         assert table.tobytes() == fitted.tobytes()
         return

@@ -1,10 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quantrl
 import quantrl.runner.manifest as manifest_module
 from conftest import random_walk_series
 from quantrl import IndicatorSpec, NormalizationKind, RewardKind, compute_feature_matrix, save_csv
@@ -532,6 +537,35 @@ def test_cli_train_backtest_deterministic(tmp_path, data_csv):
     manifest_b = json.loads((out_b / "manifest.json").read_text())
     assert manifest_a["config_hash"] == manifest_b["config_hash"]
     assert (out_a / "policy.bin").read_bytes() == (out_b / "policy.bin").read_bytes()
+
+
+def test_cli_train_backtest_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """With one OpenBLAS kernel pinned, DQN training and its backtest write the
+    same bytes at one and at two BLAS threads. The run has the default 201-wide
+    observation, 64x64 net and batch 128, so the learn step's gemms and the
+    128-row target blocks are large enough for OpenBLAS to split across threads."""
+    corename = manifest_module.blas_corename()
+    if not corename:
+        pytest.skip("numpy does not run on OpenBLAS here")
+    data = tmp_path / "walk.csv"
+    save_csv(random_walk_series(300, seed=17), data)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"data": {"path": str(data)}, "seed": 3,
+                               "agent": {"total_timesteps": 600, "target_update_interval": 200}}))
+    paths = [str(Path(quantrl.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_CORETYPE": corename, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(paths)}
+        for command in ("train", "backtest"):
+            subprocess.run([sys.executable, "-c", "import sys; from quantrl.runner.cli import cli; sys.exit(cli(sys.argv[1:]))",
+                            command, "--config", str(cfg), "--out", str(out)], env=env, check=True, timeout=600)
+        environment = json.loads((out / "manifest.json").read_text())["environment"]
+        assert environment["blas"]["corename"] == corename
+        assert environment["variables"]["OPENBLAS_NUM_THREADS"] == threads
+        artifacts.append([(out / name).read_bytes() for name in ("policy.bin", "training_log.csv", "report.json")])
+    assert artifacts[0] == artifacts[1]
 
 
 def test_cli_seed_override_changes_hash(tmp_path, data_csv):

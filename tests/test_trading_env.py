@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_series, random_walk_series
-from oracles import observe
+from oracles import observation_table, observe
 from quantrl import (
     Action,
     EnvConfig,
@@ -364,7 +364,7 @@ def test_observation_table_rows_equal_observations(kind, frozen, flag):
     window = 4
     env = TradingEnv(series, features, EnvConfig(window_size=window, normalization=kind,
                                                  include_position_flag=flag), stats=stats)
-    table = env.observation_table()
+    table = observation_table(env)
     reference_stats = None if stats is None else [(s.mean, s.std, s.min, s.max) for s in stats]
     normalized = oracles.o_normalized_features(features.to_array(), features.warmup, kind.value, reference_stats)
     windows = oracles.o_observation_table(normalized, env.start_cursor, window, kind.value)
@@ -402,7 +402,7 @@ def test_observation_rows_equal_table_slices(kind, flag):
     series = random_walk_series(40, seed=13)
     features = compute_feature_matrix(series, [IndicatorSpec("SMA", 2), IndicatorSpec("WMA", 3)])
     env = TradingEnv(series, features, EnvConfig(window_size=3, normalization=kind, include_position_flag=flag))
-    table = env.observation_table()
+    table = observation_table(env)
     n = len(table)
     assert n == (2 if flag else 1) * (len(series) - env.start_cursor)
     for lo in range(n):
@@ -410,13 +410,19 @@ def test_observation_rows_equal_table_slices(kind, flag):
             rows = env.observation_rows(lo, hi)
             assert rows.shape == table[lo:hi].shape
             assert rows.tobytes() == table[lo:hi].tobytes()
-    # a gather takes rows in any order, with repeats
+    # a gather takes rows in any order, with repeats, into a new array or ``out``
     rng = np.random.default_rng(14)
     for size in (0, 1, 7, 3 * n):
         rows = rng.integers(n, size=size)
         gathered = env.observations(rows)
         assert gathered.flags.c_contiguous and gathered.shape == table[rows].shape
         assert gathered.tobytes() == table[rows].tobytes()
+        out = np.full(table[rows].shape, np.nan)
+        assert env.observations(rows, out=out) is out
+        assert out.tobytes() == table[rows].tobytes()
+    for row in range(n):
+        single = env.observations(row)
+        assert single.shape == table[row].shape and single.tobytes() == table[row].tobytes()
 
 
 def test_position_flag_toggle():
