@@ -85,8 +85,8 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
     non-finite loss raise TrainingDiverged.
 
     The actor is frozen between updates, so ``sample_action``'s thresholds are
-    evaluated over the observation rows of the next n_steps + 1 cursors at once
-    and each step draws against its row's threshold, with the same rule."""
+    evaluated a block of observation rows at once (``RowBlocks``) and each
+    step draws against its row's threshold, with the same rule."""
     env = env_factory()
     rng = np.random.default_rng(seed)
     actor = init_mlp([env.observation_size, *hp.hidden_sizes, 2], rng)
@@ -98,8 +98,7 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
     except (MemoryError, ValueError) as exc:  # numpy's refusals of an array too large
         raise SchemaError("agent.n_steps", f"the rollout cannot be allocated: {exc}") from exc
     log = TrainingLog()
-    rows_per_cursor = 2 if env.config.include_position_flag else 1
-    thresholds = RowBlocks(env, lambda rows: sell_thresholds(actor, rows), (hp.n_steps + 1) * rows_per_cursor)
+    thresholds = RowBlocks(env, lambda rows: sell_thresholds(actor, rows))
     env.reset()
     rollout.rows[0] = env.observation_index
     episode_return = 0.0

@@ -99,22 +99,37 @@ def epsilon_greedy(action_values: np.ndarray, epsilon: float, rng: np.random.Gen
     return int(np.argmax(values)) if action is None else action
 
 
+BLOCK_ROWS = 128  # rows per forward pass of a frozen network: whole 8-row gemm tiles
+
+
+def row_values(env, evaluate, lo: int, hi: int) -> np.ndarray:
+    """``evaluate`` (a frozen network's per-row values) over the env's
+    observation rows ``lo..hi-1``, clipped at the last row like a slice, in
+    ``BLOCK_ROWS``-row blocks of ``env.observation_rows``. A block is zero-padded
+    to a multiple of 8 rows, so every row sits in a whole gemm row tile and its
+    value is the same bits whichever block, or padded table, it is evaluated in."""
+    hi = min(hi, env.observation_count)
+    values = []
+    for start in range(lo, hi, BLOCK_ROWS):
+        block = env.observation_rows(start, min(start + BLOCK_ROWS, hi))
+        rows = len(block)
+        if rows % 8:
+            block = np.concatenate((block, np.zeros((-rows % 8, block.shape[1]))))
+        values.append(evaluate(block)[:rows])
+    return np.concatenate(values)
+
+
 class RowBlocks:
-    """Per-row values of a network that stays frozen while an env steps,
-    evaluated over a block of observation rows at a time instead of over one
-    observation per step.
+    """Per-row values of a network that stays frozen while an env steps.
+    ``current()`` returns ``evaluate``'s value at ``env.observation_index``;
+    when that row lies outside the current block, it first evaluates
+    ``row_values`` over the ``BLOCK_ROWS`` rows from it (every row a default
+    64-step rollout reaches before an episode ends). Call ``invalidate()``
+    whenever the network changes."""
 
-    ``evaluate`` maps an array of observation rows to one value per row.
-    ``current()`` returns the value at ``env.observation_index``; when that
-    row lies outside the current block, it first evaluates a new block of
-    ``size`` rows (fewer past the last row) from ``env.observation_rows``,
-    starting at it. Call ``invalidate()`` whenever the network changes.
-    """
-
-    def __init__(self, env, evaluate, size: int):
+    def __init__(self, env, evaluate):
         self._env = env
         self._evaluate = evaluate
-        self._size = size
         self.invalidate()
 
     def invalidate(self) -> None:
@@ -125,7 +140,7 @@ class RowBlocks:
         row = self._env.observation_index
         offset = row - self._lo
         if not 0 <= offset < len(self._values):
-            self._values = self._evaluate(self._env.observation_rows(row, row + self._size)).tolist()
+            self._values = row_values(self._env, self._evaluate, row, row + BLOCK_ROWS).tolist()
             self._lo, offset = row, 0
         return self._values[offset]
 

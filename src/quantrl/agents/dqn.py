@@ -8,8 +8,7 @@ An observation is a function of the env's cursor and position, so the
 replay buffer stores observation rows (``env.observation_index``) and no
 observation is kept: each batch is gathered with ``env.observations`` into
 one preallocated buffer, and max_a Q_target is evaluated for every row once
-per target sync, ``TARGET_BLOCK_ROWS`` rows of ``env.observation_rows`` per
-forward pass, instead of over each batch.
+per target sync, by ``common.row_values``, instead of over each batch.
 """
 
 from __future__ import annotations
@@ -19,14 +18,10 @@ import math
 import numpy as np
 
 from ..errors import SchemaError, TrainingDiverged
-from .common import Hyperparams, Learner, TrainingLog, TrainingRecord, exploratory_action, linear_epsilon
+from .common import Hyperparams, Learner, TrainingLog, TrainingRecord, exploratory_action, linear_epsilon, row_values
 from .losses import squared_error_loss
 from .mlp import MlpPolicy, init_mlp, mlp_forward
 from .replay import Batch, ReplayBuffer
-
-# Rows per target forward pass; a multiple of 8, so every block is whole gemm
-# row tiles.
-TARGET_BLOCK_ROWS = 128
 
 
 def td_targets(rewards: np.ndarray, dones: np.ndarray, next_q_max: np.ndarray, gamma: float) -> np.ndarray:
@@ -51,13 +46,6 @@ class DqnTrainer:
         sizes = [env.observation_size, *hyperparams.hidden_sizes, 2]
         self.policy = init_mlp(sizes, self.rng)
         self.target = self.policy.copy()
-        rows = (len(env.series) - env.start_cursor) * (2 if env.config.include_position_flag else 1)
-        self.next_q_max = np.empty(rows)
-        # Zero rows pad the last target block to a multiple of 8 rows so that
-        # every real row sits in a full gemm row tile; rows of a partial tile
-        # can round differently from the same rows in a per-batch forward pass.
-        tail = rows % TARGET_BLOCK_ROWS
-        self._padded_tail = np.zeros((tail + -tail % 8, env.observation_size))
         self._target_q_max()
         # The ring never holds more than total_timesteps transitions, so a larger
         # batch is never sampled. numpy refuses an array too large with
@@ -90,15 +78,9 @@ class DqnTrainer:
         )
 
     def _target_q_max(self) -> None:
-        """Write max_a Q_target(s, a) for every observation row into ``next_q_max``."""
-        rows = len(self.next_q_max)
-        for lo in range(0, rows, TARGET_BLOCK_ROWS):
-            hi = min(lo + TARGET_BLOCK_ROWS, rows)
-            block = self.env.observation_rows(lo, hi)
-            if hi - lo < TARGET_BLOCK_ROWS:
-                self._padded_tail[: hi - lo] = block
-                block = self._padded_tail
-            self.next_q_max[lo:hi] = mlp_forward(self.target, block)[: hi - lo].max(axis=1)
+        """Set ``next_q_max`` to max_a Q_target(s, a) for every observation row."""
+        self.next_q_max = row_values(self.env, lambda rows: mlp_forward(self.target, rows).max(axis=1),
+                                     0, self.env.observation_count)
 
     def train_step(self) -> None:
         eps = self.epsilon

@@ -17,15 +17,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .agents.common import row_values
 from .agents.mlp import MlpPolicy, mlp_forward
 from .atomic import atomic_open
 from .errors import ShapeMismatch, TooFewSamples
 from .trading_env import _BITS, _SIDE_AFTER, Action, EpisodeLedger, Position, TradingEnv
 
 TRADES_HEADER = "direction,entry_idx,entry_px,exit_idx,exit_px,ret,win"
-# Observation rows per greedy forward pass in run_policy: enough to amortise the
-# call, few enough that its scratch arrays leave peak memory where it was.
-BACKTEST_BLOCK_ROWS = 128
 
 
 class _TradeFields(NamedTuple):
@@ -83,23 +81,21 @@ def greedy_path(env: TradingEnv, policy: MlpPolicy) -> list[int]:
 
     The frozen policy's greedy action (argmax, ties to Sell) is read once for
     every observation row (``env.observation_index``) the rest of the episode
-    can reach, ``BACKTEST_BLOCK_ROWS`` rows of ``env.observation_rows`` per
-    forward pass. With the position flag on, the visited rows then follow
-    from a scan of the two-state automaton ``position = actions[2 * t +
-    position]``; with it off, the path is the row actions themselves.
+    can reach, by ``row_values``. With the position flag on, the visited rows
+    then follow from a scan of the two-state automaton ``position =
+    actions[2 * t + position]``; with it off, the path is the row actions
+    themselves.
     """
-    per_cursor = 2 if env.config.include_position_flag else 1
-    first = (env.cursor - env.start_cursor) * per_cursor
-    rows = (len(env.series) - 1 - env.cursor) * per_cursor
-    table = np.empty(rows, dtype=np.intp)
-    for lo in range(0, rows, BACKTEST_BLOCK_ROWS):
-        hi = min(lo + BACKTEST_BLOCK_ROWS, rows)
-        table[lo:hi] = np.argmax(mlp_forward(policy, env.observation_rows(first + lo, first + hi)), axis=1)
-    actions = table.tolist()
-    if per_cursor == 1:
+    flagged = env.config.include_position_flag
+    position = int(env.position)
+    # The current cursor's first row up to the last bar's rows, which take no action.
+    first = env.observation_index - position * flagged
+    actions = row_values(env, lambda rows: np.argmax(mlp_forward(policy, rows), axis=1),
+                         first, env.observation_count - 1 - flagged).tolist()
+    if not flagged:
         return actions
-    path, position = [], int(env.position)
-    for row in range(0, rows, 2):
+    path = []
+    for row in range(0, len(actions), 2):
         position = actions[row + position]
         path.append(position)
     return path

@@ -160,9 +160,9 @@ class OhlcvSeries:
         return list(map(date.fromordinal, self._dates.tolist()))
 
 
-def _parse_date(text: str) -> date:
-    """Exactly ``YYYY-MM-DD``: ``date.fromisoformat`` also takes ``20200102``
-    and ISO week dates from Python 3.11 on."""
+def parse_date(text: str) -> date:
+    """Exactly ``YYYY-MM-DD`` (CSV rows and config dates): ``date.fromisoformat``
+    also takes ``20200102`` and ISO week dates from Python 3.11 on."""
     if not re.fullmatch(_ISO_DAY, text):
         raise ValueError(f"Invalid isoformat string: {text!r}")
     return date.fromisoformat(text)
@@ -174,7 +174,7 @@ def _parse_row(line_no: int, row: list[str]) -> Bar:
     if len(row) != 6:
         raise MalformedRow(line_no, f"expected 6 fields, got {len(row)}")
     try:
-        ts = _parse_date(row[0].strip())
+        ts = parse_date(row[0].strip())
     except ValueError as exc:
         raise MalformedRow(line_no, f"bad date {row[0]!r}: {exc}") from exc
     numbers = []

@@ -22,6 +22,7 @@ from pathlib import Path
 from ..agents import Hyperparams
 from ..errors import SchemaError
 from ..indicators import KINDS, IndicatorSpec, default_specs
+from ..market_data import parse_date
 from ..normalize import NormalizationKind
 from ..trading_env import EnvConfig
 
@@ -146,13 +147,12 @@ def _build(cls, section: dict, prefix: str, **given):
         raise SchemaError(f"{prefix}.{exc.key}", exc.detail) from exc
 
 
-def _parse_date(value, path: str) -> date | None:
-    if value is None:
-        return None
+def _parse_date(section: dict, key: str, path: str) -> date | None:
+    value = _require(section, key, str, path, allow_none=True)
     try:
-        return date.fromisoformat(str(value))
+        return None if value is None else parse_date(value)
     except ValueError as exc:
-        raise SchemaError(path, f"bad date {value!r}: {exc}") from exc
+        raise SchemaError(path, f"expected a YYYY-MM-DD date, got {value!r:.40}") from exc
 
 
 def _parse_specs(raw_specs, path: str) -> list[IndicatorSpec]:
@@ -184,8 +184,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 
     data_sec = merged["data"]
     path = _require(data_sec, "path", str, "data.path", allow_none=True)
-    start = _parse_date(data_sec["start"], "data.start")
-    end = _parse_date(data_sec["end"], "data.end")
+    start = _parse_date(data_sec, "start", "data.start")
+    end = _parse_date(data_sec, "end", "data.end")
     if start is not None and end is not None and start > end:
         raise SchemaError("data.start", f"start {start} after end {end}")
 

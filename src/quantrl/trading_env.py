@@ -265,6 +265,11 @@ class TradingEnv:
         return 2 * row + int(self._position) if self.config.include_position_flag else row
 
     @property
+    def observation_count(self) -> int:
+        """The number of rows in the observation row space (see ``observation_index``)."""
+        return len(self._windows) * (2 if self._flagged else 1)
+
+    @property
     def done(self) -> bool:
         return self._done
 

@@ -673,9 +673,8 @@ def observe(env):
 
 
 def o_run_policy(env, policy):
-    from quantrl.agents.common import RowBlocks
     from quantrl.agents.mlp import mlp_forward
-    from quantrl.backtest import BACKTEST_BLOCK_ROWS, EquityCurve, Trade
+    from quantrl.backtest import EquityCurve, Trade
     from quantrl.trading_env import Position
 
     def _gross(direction, entry_px, exit_px):
@@ -688,11 +687,15 @@ def o_run_policy(env, policy):
     entry_px = float(closes[entry_idx])
     direction = env.position
     trades = []
-    actions = RowBlocks(env, lambda rows: np.argmax(mlp_forward(policy, rows), axis=1), BACKTEST_BLOCK_ROWS)
+    # Each row's greedy action from one forward pass over every observation row,
+    # zero-padded to whole 8-row gemm tiles.
+    table = observation_table(env)
+    padded = np.pad(table, ((0, -len(table) % 8), (0, 0)))
+    actions = np.argmax(mlp_forward(policy, padded)[: len(table)], axis=1).tolist()
     done = False
     while not done:
         flip_at = env.cursor
-        result = env.step(actions.current())
+        result = env.step(actions[env.observation_index])
         if env.position is not direction:
             exit_px = float(closes[flip_at])
             if flip_at > entry_idx:

@@ -28,7 +28,7 @@ from quantrl.agents import (
     value_loss,
 )
 from quantrl.agents.a2c import train_on_policy
-from quantrl.agents.dqn import TARGET_BLOCK_ROWS
+from quantrl.agents.common import BLOCK_ROWS, row_values
 from quantrl.backtest import run_policy
 from quantrl.errors import BufferTooSmall, CorruptFile, TrainingDiverged
 
@@ -213,7 +213,7 @@ def test_dqn_next_q_max_lookup_matches_batch_forward():
 
 @pytest.mark.parametrize("flag", [True, False])
 def test_dqn_target_blocks_equal_padded_table_forward(flag):
-    """max_a Q_target is evaluated in TARGET_BLOCK_ROWS-row blocks, the last one
+    """max_a Q_target is evaluated in BLOCK_ROWS-row blocks, the last one
     zero-padded to a multiple of 8 rows. Each row's value is byte-equal to the
     row's in one forward pass over every observation row padded to a multiple
     of 8 rows, at construction and after a target sync."""
@@ -225,7 +225,7 @@ def test_dqn_target_blocks_equal_padded_table_forward(flag):
     trainer = DqnTrainer(env, hp, seed=0)
     table = observation_table(env)
     rows = len(table)
-    assert rows > TARGET_BLOCK_ROWS and rows % 8 and rows % TARGET_BLOCK_ROWS
+    assert rows > BLOCK_ROWS and rows % 8 and rows % BLOCK_ROWS
     padded = np.pad(table, ((0, -rows % 8), (0, 0)))
 
     def reference():
@@ -444,6 +444,7 @@ class RecordingEnv:
         self.env = env
         self.config = env.config
         self.observation_size = env.observation_size
+        self.observation_count = env.observation_count
         self.observation_rows = env.observation_rows
         self.observations = env.observations
         self.acted: list[np.ndarray] = []
@@ -539,6 +540,74 @@ def test_block_thresholds_match_per_row_rule(monkeypatch, flag):
         assert abs(threshold - p0 / (p0 + p1)) <= 1e-15
         assert action == int(rng.random() >= threshold)
     assert set(actions) == {0, 1}
+
+
+def padded_table(env) -> np.ndarray:
+    """Every observation row of ``env``, zero-padded to a multiple of 8 rows."""
+    table = observation_table(env)
+    return np.pad(table, ((0, -len(table) % 8), (0, 0)))
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_block_thresholds_equal_padded_table_forward(monkeypatch, flag):
+    """On a default-width env, each step's looked-up threshold is byte-equal to
+    its row's in one sell_thresholds pass over every observation row padded to
+    a multiple of 8 rows, blocks clipped at an episode end included. Blocks
+    whose partial tile went unpadded broke this on 1-3 of 1,280 steps per seed."""
+    series = random_walk_series(300, seed=3)
+    env = TradingEnv(series, compute_feature_matrix(series, default_specs()), EnvConfig(include_position_flag=flag))
+    rows = env.observation_count
+    padded = padded_table(env)
+    hp = tiny_hp(total_timesteps=1280, n_steps=64, hidden_sizes=(64, 64))
+
+    class RecordingBlocks(a2c_module.RowBlocks):
+        def current(self):
+            if len(looked_up) % hp.n_steps == 0:  # the actor changes only between rollouts
+                self.reference = self._evaluate(padded)[:rows]
+            looked_up.append(super().current())
+            expected.append(self.reference[self._env.observation_index])
+            return looked_up[-1]
+
+    monkeypatch.setattr(a2c_module, "RowBlocks", RecordingBlocks)
+    for seed in range(3):
+        looked_up, expected = [], []
+        a2c_train(lambda: env, hp, seed=seed)
+        assert len(looked_up) == hp.total_timesteps
+        assert np.array(looked_up).tobytes() == np.array(expected).tobytes(), seed
+
+
+WIDTHS = {  # flag-on observation width: (indicators, window)
+    201: (default_specs(), 10),
+    101: (default_specs(), 5),
+    20: ([IndicatorSpec("ROC", 1)], 19),
+}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("width", WIDTHS)
+def test_row_values_equal_padded_table_forward(flag, width):
+    """Q-values, max-Q and thresholds from row_values are byte-equal to one
+    forward pass over every observation row padded to a multiple of 8 rows,
+    for every start row 0-40 and ends one, 7 and 130 rows on and at the last row."""
+    specs, window = WIDTHS[width]
+    series = random_walk_series(293, seed=11)
+    env = TradingEnv(series, compute_feature_matrix(series, specs), EnvConfig(window_size=window, include_position_flag=flag))
+    assert env.observation_size == width - (not flag)
+    rows = env.observation_count
+    assert rows % 8 and rows > 40 + 130
+    padded = padded_table(env)
+    net = init_mlp([env.observation_size, 64, 64, 2], np.random.default_rng(width))
+    evaluators = {
+        "q": lambda block: mlp_forward(net, block),
+        "max_q": lambda block: mlp_forward(net, block).max(axis=1),
+        "threshold": lambda block: a2c_module.sell_thresholds(net, block),
+    }
+    for name, evaluate in evaluators.items():
+        reference = evaluate(padded)[:rows]
+        for lo in range(41):
+            for hi in (lo + 1, lo + 7, lo + 130, rows):
+                values = row_values(env, evaluate, lo, hi)
+                assert values.tobytes() == reference[lo:hi].tobytes(), (name, lo, hi)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

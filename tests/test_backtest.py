@@ -28,7 +28,8 @@ from quantrl import (
 )
 import quantrl.backtest as backtest_module
 from quantrl.agents import init_mlp, mlp_forward
-from quantrl.backtest import BACKTEST_BLOCK_ROWS, PerformanceReport, Trade
+from quantrl.agents.common import BLOCK_ROWS
+from quantrl.backtest import PerformanceReport, Trade
 from quantrl.errors import TooFewSamples
 
 
@@ -247,7 +248,7 @@ def test_run_policy_actions_equal_per_row_argmax(flag, net):
         policy.flat[:] = rng.normal(0.0, 1.0, policy.flat.size)
     ledger, _, _ = run_policy(env, policy)
     # several blocks of observation rows are evaluated
-    assert len(ledger) > 2 * BACKTEST_BLOCK_ROWS
+    assert len(ledger) > 2 * BLOCK_ROWS
     replay = TradingEnv(series, features, EnvConfig(window_size=3, include_position_flag=flag))
     replay.reset()
     for record in ledger.records:
@@ -369,7 +370,7 @@ def test_run_policy_bit_equal_to_per_bar_backtest(tmp_path, reward_kind, commiss
     env = _grid_env(reward_kind, commission, flag)
     policy = _grid_policy(net, env.observation_size)
     ledger, curve, trades = run_policy(env, policy)
-    assert len(ledger) > 2 * BACKTEST_BLOCK_ROWS
+    assert len(ledger) > 2 * BLOCK_ROWS
     reference = _grid_env(reward_kind, commission, flag)
     o_ledger, o_curve, o_trades = oracles.o_run_policy(reference, policy)
     assert list(map(repr, ledger.records)) == list(map(repr, o_ledger.records))
@@ -407,4 +408,4 @@ def test_run_policy_never_steps_and_forwards_once_per_block(monkeypatch, flag):
     monkeypatch.setattr(backtest_module, "mlp_forward", counting_forward)
     ledger, _, _ = run_policy(env, policy)
     rows = len(ledger) * (2 if flag else 1)
-    assert calls == {"step": 0, "forward": math.ceil(rows / BACKTEST_BLOCK_ROWS)}
+    assert calls == {"step": 0, "forward": math.ceil(rows / BLOCK_ROWS)}

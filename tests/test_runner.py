@@ -459,6 +459,21 @@ def test_cli_range_beyond_the_data_is_empty_series(tmp_path, data_csv, capsys, b
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key", ["start", "end"])
+@pytest.mark.parametrize("value", [20200102, "20200102", "2020-W01-1"])
+def test_cli_date_other_than_yyyy_mm_dd_is_config_error(tmp_path, data_csv, capsys, key, value):
+    """Config dates follow the data loader's rule on every Python: date.fromisoformat
+    takes all three values from Python 3.11 on."""
+    cfg = write_config(tmp_path, data_csv, data={key: value})
+    assert cli(["ingest", "--config", str(cfg)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["type"]) == ("config", "SchemaError")
+    assert payload["message"].startswith(f"data.{key}: ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_malformed_data(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("Date,Open,High,Low,Close,Volume\n2020-01-01,1,2,0.5,oops,100\n")

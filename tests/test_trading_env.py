@@ -397,6 +397,14 @@ def test_observation_table_rows_equal_observations(kind, frozen, flag):
 
 
 @pytest.mark.parametrize("flag", [True, False])
+def test_observation_count_is_the_table_length(flag):
+    series = random_walk_series(40, seed=13)
+    features = compute_feature_matrix(series, [IndicatorSpec("SMA", 2), IndicatorSpec("WMA", 3)])
+    env = TradingEnv(series, features, EnvConfig(window_size=3, include_position_flag=flag))
+    assert env.observation_count == len(observation_table(env))
+
+
+@pytest.mark.parametrize("flag", [True, False])
 @pytest.mark.parametrize("kind", list(NormalizationKind))
 def test_observation_rows_equal_table_slices(kind, flag):
     series = random_walk_series(40, seed=13)
