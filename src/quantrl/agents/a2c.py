@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SchemaError, TrainingDiverged
-from .common import Hyperparams, Learner, RowBlocks, TrainingLog, TrainingRecord
+from .common import Hyperparams, Learner, TrainingLog, TrainingRecord, row_values
 from .losses import policy_gradient_loss, value_loss
 from .mlp import MlpPolicy, init_mlp, mlp_forward, softmax
 
@@ -38,6 +38,7 @@ def sample_action(actor: MlpPolicy, obs: np.ndarray, rng: np.random.Generator) -
     This is the inverse-CDF rule of ``rng.choice(2, p=probs)`` (cumsum, divide
     by the last entry, searchsorted right), so actions and generator state match
     it draw for draw. Raises ValueError when the probabilities are not finite.
+    ``train_on_policy`` applies the same rule to a rollout segment at once.
     """
     threshold = float(sell_thresholds(actor, obs[None])[0])
     if math.isnan(threshold):
@@ -53,10 +54,10 @@ def sell_thresholds(actor: MlpPolicy, rows: np.ndarray) -> np.ndarray:
 
 
 class _Rollout:
-    """n_steps transitions. ``rows`` holds the observation row
-    (``env.observation_index``) of each step and, last, of the observation
-    after the rollout; when the rollout is full, ``states`` is set to the
-    steps' observations, gathered at once."""
+    """n_steps transitions, written a segment at a time: the observation row
+    each step acted from and, last, the row of the observation after the
+    rollout; the steps' actions, rewards and episode ends; and, once the
+    rollout is full, ``states``, the steps' observations gathered at once."""
 
     def __init__(self, n_steps: int):
         self.rows = np.zeros(n_steps + 1, dtype=np.intp)
@@ -64,14 +65,6 @@ class _Rollout:
         self.rewards = np.zeros(n_steps)
         self.dones = np.zeros(n_steps, dtype=bool)
         self.states = None
-        self.fill = 0
-
-    def add(self, action, reward, done, next_row: int) -> None:
-        self.actions[self.fill] = action
-        self.rewards[self.fill] = reward
-        self.dones[self.fill] = done
-        self.fill += 1
-        self.rows[self.fill] = next_row
 
 
 def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
@@ -81,12 +74,15 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
     ``update(actor, critic, rollout, obs, rng)``, which returns the loss to
     log; ``actor`` and ``critic`` are the nets' Learners, whose workspaces take
     batches of up to ``batch_rows`` rows (default n_steps), and ``obs`` is
-    the observation after the rollout. Non-finite action probabilities or a
-    non-finite loss raise TrainingDiverged.
+    the observation after the rollout. Non-finite action probabilities on a
+    row a step acts from, or a non-finite loss, raise TrainingDiverged.
 
-    The actor is frozen between updates, so ``sample_action``'s thresholds are
-    evaluated a block of observation rows at once (``RowBlocks``) and each
-    step draws against its row's threshold, with the same rule."""
+    The actor is frozen between updates, so a rollout is collected like a
+    greedy backtest, in segments that end at the rollout's end, the episode's
+    end or total_timesteps. Per segment of n steps, ``row_values`` evaluates
+    ``sell_thresholds`` once over ``env.rows_ahead(n)``, ``rng.random(n)``
+    draws the steps' values, ``env.walk`` follows ``sample_action``'s rule
+    and ``env.replay`` takes the path."""
     env = env_factory()
     rng = np.random.default_rng(seed)
     actor = init_mlp([env.observation_size, *hp.hidden_sizes, 2], rng)
@@ -98,34 +94,43 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
     except (MemoryError, ValueError) as exc:  # numpy's refusals of an array too large
         raise SchemaError("agent.n_steps", f"the rollout cannot be allocated: {exc}") from exc
     log = TrainingLog()
-    thresholds = RowBlocks(env, lambda rows: sell_thresholds(actor, rows))
     env.reset()
-    rollout.rows[0] = env.observation_index
     episode_return = 0.0
     last_loss = float("nan")
-    steps = 0
+    steps = fill = 0
     while steps < hp.total_timesteps:
-        threshold = thresholds.current()
-        if math.isnan(threshold):
-            raise TrainingDiverged(steps + 1, float("nan"))
-        action = int(rng.random() >= threshold)
-        result = env.step(action)
-        episode_return += result.reward
-        steps += 1
-        if result.done:
+        n = min(hp.n_steps - fill, env.steps_left, hp.total_timesteps - steps)
+        lo, hi = env.rows_ahead(n)
+        thresholds = row_values(env, lambda block: sell_thresholds(actor, block), lo, hi)
+        decisions = np.repeat(rng.random(n), (hi - lo) // n) >= thresholds
+        visited = env.walk(decisions)
+        diverged = np.isnan(thresholds[visited])
+        if diverged.any():
+            raise TrainingDiverged(steps + int(diverged.argmax()) + 1, float("nan"))
+        path = decisions[visited]
+        env.replay(path)
+        rewards = env.ledger.rewards[-n:]
+        end = fill + n
+        rollout.rows[fill:end] = lo + visited
+        rollout.actions[fill:end] = path
+        rollout.rewards[fill:end] = rewards
+        rollout.dones[fill:end] = False
+        rollout.dones[end - 1] = env.done
+        steps, fill = steps + n, end
+        for reward in rewards:  # not sum(): it is compensated from Python 3.12 on
+            episode_return += reward
+        if env.done:
             log.append(TrainingRecord(steps, episode_return, last_loss))
             episode_return = 0.0
             env.reset()
-        rollout.add(action, result.reward, result.done, env.observation_index)
-        if rollout.fill == hp.n_steps:
+        if fill == hp.n_steps:
+            rollout.rows[fill] = env.observation_index
             observations = env.observations(rollout.rows)
             rollout.states = observations[:-1]
             last_loss = update(actor_learner, critic_learner, rollout, observations[-1], rng)
             if not math.isfinite(last_loss):
                 raise TrainingDiverged(steps, last_loss)
-            thresholds.invalidate()
-            rollout.rows[0] = rollout.rows[-1]
-            rollout.fill = 0
+            fill = 0
     return ActorCritic(actor, critic), log
 
 

@@ -107,7 +107,8 @@ def row_values(env, evaluate, lo: int, hi: int) -> np.ndarray:
     observation rows ``lo..hi-1``, clipped at the last row like a slice, in
     ``BLOCK_ROWS``-row blocks of ``env.observation_rows``. A block is zero-padded
     to a multiple of 8 rows, so every row sits in a whole gemm row tile and its
-    value is the same bits whichever block, or padded table, it is evaluated in."""
+    value is the same bits whichever block, or padded table, it is evaluated in.
+    Greedy backtests and on-policy rollout segments pass ``env.rows_ahead``."""
     hi = min(hi, env.observation_count)
     values = []
     for start in range(lo, hi, BLOCK_ROWS):
@@ -117,32 +118,6 @@ def row_values(env, evaluate, lo: int, hi: int) -> np.ndarray:
             block = np.concatenate((block, np.zeros((-rows % 8, block.shape[1]))))
         values.append(evaluate(block)[:rows])
     return np.concatenate(values)
-
-
-class RowBlocks:
-    """Per-row values of a network that stays frozen while an env steps.
-    ``current()`` returns ``evaluate``'s value at ``env.observation_index``;
-    when that row lies outside the current block, it first evaluates
-    ``row_values`` over the ``BLOCK_ROWS`` rows from it (every row a default
-    64-step rollout reaches before an episode ends). Call ``invalidate()``
-    whenever the network changes."""
-
-    def __init__(self, env, evaluate):
-        self._env = env
-        self._evaluate = evaluate
-        self.invalidate()
-
-    def invalidate(self) -> None:
-        self._lo = 0
-        self._values = []
-
-    def current(self):
-        row = self._env.observation_index
-        offset = row - self._lo
-        if not 0 <= offset < len(self._values):
-            self._values = row_values(self._env, self._evaluate, row, row + BLOCK_ROWS).tolist()
-            self._lo, offset = row, 0
-        return self._values[offset]
 
 
 @dataclass(frozen=True)

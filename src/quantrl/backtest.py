@@ -80,25 +80,13 @@ def greedy_path(env: TradingEnv, policy: MlpPolicy) -> list[int]:
     current state to the last bar, without stepping the env.
 
     The frozen policy's greedy action (argmax, ties to Sell) is read once for
-    every observation row (``env.observation_index``) the rest of the episode
-    can reach, by ``row_values``. With the position flag on, the visited rows
-    then follow from a scan of the two-state automaton ``position =
-    actions[2 * t + position]``; with it off, the path is the row actions
-    themselves.
+    every observation row the rest of the episode can reach
+    (``env.rows_ahead``), by ``row_values``; ``env.walk`` then picks the row
+    each step acts from, so the path is those rows' actions.
     """
-    flagged = env.config.include_position_flag
-    position = int(env.position)
-    # The current cursor's first row up to the last bar's rows, which take no action.
-    first = env.observation_index - position * flagged
-    actions = row_values(env, lambda rows: np.argmax(mlp_forward(policy, rows), axis=1),
-                         first, env.observation_count - 1 - flagged).tolist()
-    if not flagged:
-        return actions
-    path = []
-    for row in range(0, len(actions), 2):
-        position = actions[row + position]
-        path.append(position)
-    return path
+    lo, hi = env.rows_ahead(env.steps_left)
+    actions = row_values(env, lambda rows: np.argmax(mlp_forward(policy, rows), axis=1), lo, hi)
+    return actions[env.walk(actions)].tolist()
 
 
 def run_policy(env: TradingEnv, policy: MlpPolicy):

@@ -269,6 +269,30 @@ class TradingEnv:
         """The number of rows in the observation row space (see ``observation_index``)."""
         return len(self._windows) * (2 if self._flagged else 1)
 
+    def rows_ahead(self, n: int) -> tuple[int, int]:
+        """The observation rows ``lo..hi-1`` the next ``n`` steps can act from:
+        every row of the ``n`` cursors from the current one, cursor by cursor,
+        the same number of rows for each (see ``observation_index``)."""
+        per_cursor = 2 if self._flagged else 1
+        first = self._cursor - self._start
+        return per_cursor * first, per_cursor * (first + n)
+
+    def walk(self, decisions) -> np.ndarray:
+        """The offsets into a ``rows_ahead`` block of the rows a path visits,
+        one per step, when ``decisions[i]`` (0 Sell, 1 Buy) is the action taken
+        from the block's row i: from the env's position, each step acts from
+        its cursor's row for the position the step before left. The path is
+        ``decisions`` at the offsets."""
+        if not self._flagged:
+            return np.arange(len(decisions))
+        decisions = np.asarray(decisions).tolist()
+        offsets = []
+        offset = int(self._position)
+        for next_cursor in range(2, len(decisions) + 2, 2):
+            offsets.append(offset)
+            offset = next_cursor + decisions[offset]
+        return np.array(offsets, dtype=np.intp)
+
     @property
     def done(self) -> bool:
         return self._done
@@ -288,6 +312,10 @@ class TradingEnv:
     @property
     def cursor(self) -> int:
         return self._cursor
+
+    @property
+    def steps_left(self) -> int:
+        return self._last - self._cursor
 
     @property
     def observation_size(self) -> int:

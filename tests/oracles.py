@@ -5,7 +5,8 @@ Python loops and window recomputation - no shared code with the package
 and no incremental shortcuts beyond the definitions themselves. The
 exceptions use the package: ``observe`` reads its env's current
 observation and ``observation_table`` all of its observation rows,
-``o_run_policy`` drives its env bar by bar, and the four ``o_*_loss*``
+``o_run_policy`` and ``o_train_on_policy`` drive their env bar by bar, and
+the four ``o_*_loss*``
 bodies run its network passes, which ``o_forward_cached`` and
 ``o_mlp_backward`` pin separately.
 """
@@ -711,6 +712,64 @@ def o_run_policy(env, policy):
         trades.append(Trade(direction, entry_idx, entry_px, last_idx, exit_px, ret, ret > 0.0))
     curve = EquityCurve(np.array([env.config.initial_cash, *env.ledger.equity]))
     return env.ledger, curve, trades
+
+
+# train_on_policy's body from before rollout segments: one env.step per action,
+# each step's threshold looked up in one sell_thresholds pass over every observation
+# row, zero-padded to whole 8-row gemm tiles, per actor. It looks up
+# a2c.sell_thresholds at call time, so a test that patches it patches both loops.
+
+
+def o_train_on_policy(env_factory, hp, seed, update, batch_rows=None):
+    from types import SimpleNamespace
+
+    from quantrl.agents import a2c
+    from quantrl.agents.common import Learner, TrainingLog, TrainingRecord
+    from quantrl.agents.mlp import init_mlp
+    from quantrl.errors import TrainingDiverged
+
+    env = env_factory()
+    rng = np.random.default_rng(seed)
+    actor = init_mlp([env.observation_size, *hp.hidden_sizes, 2], rng)
+    critic = init_mlp([env.observation_size, *hp.hidden_sizes, 1], rng)
+    rows = hp.n_steps if batch_rows is None else batch_rows
+    rollout = SimpleNamespace(rows=np.zeros(hp.n_steps + 1, dtype=np.intp), actions=np.zeros(hp.n_steps, dtype=np.int64),
+                              rewards=np.zeros(hp.n_steps), dones=np.zeros(hp.n_steps, dtype=bool), states=None)
+    actor_learner, critic_learner = Learner(actor, hp, rows), Learner(critic, hp, rows)
+    log = TrainingLog()
+    table = observation_table(env)
+    padded = np.pad(table, ((0, -len(table) % 8), (0, 0)))
+    thresholds = a2c.sell_thresholds(actor, padded)[: len(table)].tolist()
+    env.reset()
+    rollout.rows[0] = env.observation_index
+    episode_return = 0.0
+    last_loss = float("nan")
+    steps = fill = 0
+    while steps < hp.total_timesteps:
+        threshold = thresholds[env.observation_index]
+        if math.isnan(threshold):
+            raise TrainingDiverged(steps + 1, float("nan"))
+        action = int(rng.random() >= threshold)
+        result = env.step(action)
+        episode_return += result.reward
+        steps += 1
+        if result.done:
+            log.append(TrainingRecord(steps, episode_return, last_loss))
+            episode_return = 0.0
+            env.reset()
+        rollout.actions[fill], rollout.rewards[fill], rollout.dones[fill] = action, result.reward, result.done
+        fill += 1
+        rollout.rows[fill] = env.observation_index
+        if fill == hp.n_steps:
+            observations = env.observations(rollout.rows)
+            rollout.states = observations[:-1]
+            last_loss = update(actor_learner, critic_learner, rollout, observations[-1], rng)
+            if not math.isfinite(last_loss):
+                raise TrainingDiverged(steps, last_loss)
+            thresholds = a2c.sell_thresholds(actor, padded)[: len(table)].tolist()
+            rollout.rows[0] = rollout.rows[-1]
+            fill = 0
+    return a2c.ActorCritic(actor, critic), log
 
 
 def o_ledger_csv(records):

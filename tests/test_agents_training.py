@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 import quantrl.agents.a2c as a2c_module
+import quantrl.agents.ppo as ppo_module
 from conftest import random_walk_series
-from oracles import observation_table, observe
-from quantrl import EnvConfig, IndicatorSpec, NormalizationKind, TradingEnv, compute_feature_matrix, default_specs
+from oracles import o_train_on_policy, observation_table, observe
+from quantrl import (
+    EnvConfig,
+    IndicatorSpec,
+    NormalizationKind,
+    RewardKind,
+    TradingEnv,
+    compute_feature_matrix,
+    default_specs,
+)
 from quantrl.agents import (
     ActorCritic,
     DqnTrainer,
@@ -437,51 +446,63 @@ def test_sample_action_matches_generator_choice(monkeypatch):
     assert ours.bit_generator.state == reference.bit_generator.state
 
 
-class RecordingEnv:
-    """A TradingEnv that records, per step, the observation the action was chosen from."""
+class SegmentRecorder:
+    """Records, per step of a ``train_on_policy`` run in ``env``, what the step
+    acted on. ``acted`` (the observation) and ``rows`` (its observation row)
+    come from replaying each segment's path one action at a time, which is
+    bit-equal to replaying it at once. ``looked_up`` (the threshold the step's
+    draw was compared with) is the segment's ``sell_thresholds`` values at the
+    offsets ``env.walk`` returns, and ``actors`` the actor they came from, one
+    copy per segment."""
 
-    def __init__(self, env: TradingEnv):
-        self.env = env
-        self.config = env.config
-        self.observation_size = env.observation_size
-        self.observation_count = env.observation_count
-        self.observation_rows = env.observation_rows
-        self.observations = env.observations
-        self.acted: list[np.ndarray] = []
-        self.current = None
+    def __init__(self, monkeypatch, env: TradingEnv):
+        self.acted, self.rows, self.looked_up, self.actors = [], [], [], []
+        blocks = []
+        thresholds, walk, replay = a2c_module.sell_thresholds, env.walk, env.replay
 
-    @property
-    def observation_index(self):
-        return self.env.observation_index
+        def recording_thresholds(net, rows):
+            self.actor = net
+            blocks.append(thresholds(net, rows))
+            return blocks[-1]
 
-    def reset(self):
-        self.env.reset()
-        self.current = observe(self.env).flatten()
+        def recording_walk(decisions):
+            offsets = walk(decisions)
+            # Only a segment's last block is padded, so its rows lead the concatenation.
+            segment = np.concatenate(blocks)[: len(decisions)]
+            blocks.clear()
+            self.looked_up.extend(segment[offsets].tolist())
+            self.actors.extend([self.actor.copy()] * len(offsets))
+            return offsets
 
-    def step(self, action):
-        self.acted.append(self.current)
-        result = self.env.step(action)
-        self.current = observe(self.env).flatten()
-        return result
+        def recording_replay(path):
+            for action in path:
+                self.acted.append(observe(env).flatten())
+                self.rows.append(env.observation_index)
+                replay([action])
+
+        monkeypatch.setattr(a2c_module, "sell_thresholds", recording_thresholds)
+        monkeypatch.setattr(env, "walk", recording_walk)
+        monkeypatch.setattr(env, "replay", recording_replay)
 
 
 @pytest.mark.parametrize("normalization", [NormalizationKind.MIN_MAX, NormalizationKind.WINDOW_LOG])
 @pytest.mark.parametrize("flag", [True, False])
-def test_rollout_states_equal_observations(normalization, flag):
-    env = RecordingEnv(tiny_env(normalization=normalization, include_position_flag=flag))
+def test_rollout_states_equal_observations(monkeypatch, normalization, flag):
+    env = tiny_env(normalization=normalization, include_position_flag=flag)
+    recorder = SegmentRecorder(monkeypatch, env)
     seen = []
 
     def update(actor, critic, rollout, obs, rng) -> float:
-        seen.append((rollout.states.copy(), obs.copy(), env.current))
+        seen.append((rollout.states.copy(), obs.copy(), observe(env).flatten()))
         return 0.0
 
     hp = tiny_hp(total_timesteps=200, n_steps=8)
     train_on_policy(lambda: env, hp, seed=2, update=update)
-    assert len(seen) == 25 and len(env.acted) == 200
+    assert len(seen) == 25 and len(recorder.acted) == 200
     for k, (states, obs, after) in enumerate(seen):
-        assert np.array_equal(states, np.array(env.acted[8 * k : 8 * (k + 1)]))
+        assert np.array_equal(states, np.array(recorder.acted[8 * k : 8 * (k + 1)]))
         assert np.array_equal(obs, after)
-    assert env.acted[0].shape == (env.observation_size,)
+    assert recorder.acted[0].shape == (env.observation_size,)
 
 
 def greedy_backtest(env_factory, hyperparams: Hyperparams, seed: int):
@@ -509,18 +530,12 @@ def test_on_policy_training_never_flattens_a_window(monkeypatch, train):
 
 @pytest.mark.parametrize("flag", [True, False])
 def test_block_thresholds_match_per_row_rule(monkeypatch, flag):
-    """Each step's threshold, looked up in a block evaluated once per actor,
-    matches sample_action's per-row threshold, and the action is the rule
-    int(u >= threshold) on the step's draw."""
-    looked_up = []
-
-    class RecordingBlocks(a2c_module.RowBlocks):
-        def current(self):
-            looked_up.append(super().current())
-            return looked_up[-1]
-
-    monkeypatch.setattr(a2c_module, "RowBlocks", RecordingBlocks)
-    env = RecordingEnv(tiny_env(include_position_flag=flag))
+    """Each step's threshold, read from its segment's thresholds (evaluated
+    once per segment) at the row env.walk visits, matches sample_action's
+    per-row threshold, and the action is the rule int(u >= threshold) on the
+    step's draw."""
+    env = tiny_env(include_position_flag=flag)
+    recorder = SegmentRecorder(monkeypatch, env)
     actors, actions = [], []
 
     def update(actor, critic, rollout, obs, rng) -> float:
@@ -534,8 +549,8 @@ def test_block_thresholds_match_per_row_rule(monkeypatch, flag):
     rng = np.random.default_rng(seed)
     actors.insert(0, init_mlp([env.observation_size, *hp.hidden_sizes, 2], rng))
     init_mlp([env.observation_size, *hp.hidden_sizes, 1], rng)
-    assert len(looked_up) == len(actions) == len(env.acted) == 400
-    for step, (obs, threshold, action) in enumerate(zip(env.acted, looked_up, actions)):
+    assert len(recorder.looked_up) == len(actions) == len(recorder.acted) == 400
+    for step, (obs, threshold, action) in enumerate(zip(recorder.acted, recorder.looked_up, actions)):
         p0, p1 = softmax(mlp_forward(actors[step // hp.n_steps], obs[None]))[0].tolist()
         assert abs(threshold - p0 / (p0 + p1)) <= 1e-15
         assert action == int(rng.random() >= threshold)
@@ -552,28 +567,166 @@ def padded_table(env) -> np.ndarray:
 def test_block_thresholds_equal_padded_table_forward(monkeypatch, flag):
     """On a default-width env, each step's looked-up threshold is byte-equal to
     its row's in one sell_thresholds pass over every observation row padded to
-    a multiple of 8 rows, blocks clipped at an episode end included. Blocks
+    a multiple of 8 rows, segments clipped at an episode end included. Blocks
     whose partial tile went unpadded broke this on 1-3 of 1,280 steps per seed."""
     series = random_walk_series(300, seed=3)
     env = TradingEnv(series, compute_feature_matrix(series, default_specs()), EnvConfig(include_position_flag=flag))
     rows = env.observation_count
     padded = padded_table(env)
     hp = tiny_hp(total_timesteps=1280, n_steps=64, hidden_sizes=(64, 64))
-
-    class RecordingBlocks(a2c_module.RowBlocks):
-        def current(self):
-            if len(looked_up) % hp.n_steps == 0:  # the actor changes only between rollouts
-                self.reference = self._evaluate(padded)[:rows]
-            looked_up.append(super().current())
-            expected.append(self.reference[self._env.observation_index])
-            return looked_up[-1]
-
-    monkeypatch.setattr(a2c_module, "RowBlocks", RecordingBlocks)
+    thresholds = a2c_module.sell_thresholds
     for seed in range(3):
-        looked_up, expected = [], []
-        a2c_train(lambda: env, hp, seed=seed)
-        assert len(looked_up) == hp.total_timesteps
-        assert np.array(looked_up).tobytes() == np.array(expected).tobytes(), seed
+        with monkeypatch.context() as patch:
+            recorder = SegmentRecorder(patch, env)
+            a2c_train(lambda: env, hp, seed=seed)
+        expected, actor = [], None
+        for net, row in zip(recorder.actors, recorder.rows):
+            if net is not actor:  # the actor changes only between segments
+                actor, reference = net, thresholds(net, padded)[:rows]
+            expected.append(reference[row])
+        assert len(recorder.looked_up) == hp.total_timesteps
+        assert np.array(recorder.looked_up).tobytes() == np.array(expected).tobytes(), seed
+
+
+ORACLE_SCHEDULES = [(8, 301, "sgd"), (64, 1000, "adam"), (5, 97, "adam")]  # (n_steps, total_timesteps, optimizer)
+
+
+@pytest.mark.parametrize("schedule", ORACLE_SCHEDULES, ids=lambda s: "-".join(map(str, s)))
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("train", [a2c_train, ppo_train], ids=["a2c", "ppo"])
+def test_rollout_segments_train_the_per_step_bytes(monkeypatch, train, flag, schedule):
+    """Rollout segments (one threshold pass, a sampled walk and one replay each)
+    train byte-equal actors, critics and log records to the per-step loop of
+    ``oracles.o_train_on_policy``, for every reward kind, with and without
+    commission. Episodes end inside rollouts, and the run stops inside one."""
+    n_steps, total, optimizer = schedule
+    hp = tiny_hp(n_steps=n_steps, total_timesteps=total, optimizer=optimizer, batch_size=16,
+                 learning_rate=1e-2, hidden_sizes=(16, 16))
+    for kind in RewardKind:
+        for commission in (0.0, 5e-4):
+            def factory():
+                return tiny_env(90, reward_kind=kind, commission=commission, include_position_flag=flag)
+
+            episode = factory().steps_left
+            assert episode % n_steps and total % n_steps and total > episode
+            ours, our_log = train(factory, hp, seed=4)
+            with monkeypatch.context() as patch:
+                patch.setattr(a2c_module, "train_on_policy", o_train_on_policy)
+                patch.setattr(ppo_module, "train_on_policy", o_train_on_policy)
+                theirs, their_log = train(factory, hp, seed=4)
+            case = (kind, commission)
+            assert ours.actor.flat.tobytes() == theirs.actor.flat.tobytes(), case
+            assert ours.critic.flat.tobytes() == theirs.critic.flat.tobytes(), case
+            assert len(our_log) >= total // episode
+            assert repr(our_log.records) == repr(their_log.records), case
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_nan_threshold_raises_at_the_step_that_acts_from_it(monkeypatch, flag):
+    """A NaN threshold on the row a step acts from raises TrainingDiverged at
+    that step, as in the per-step oracle. A NaN only on the other flag's row
+    of a cursor, which the segment still evaluates, does not raise."""
+    def factory():
+        return tiny_env(90, include_position_flag=flag)
+
+    table = observation_table(factory())
+    assert len(np.unique(table, axis=0)) == len(table)
+    hp = tiny_hp(total_timesteps=80, n_steps=8)  # inside the first episode, 87 steps
+    assert factory().steps_left > hp.total_timesteps
+    thresholds, segments = a2c_module.sell_thresholds, a2c_module.train_on_policy
+
+    def diverged_at(loop, poisoned_rows):
+        def poisoned(actor, rows):
+            values = thresholds(actor, rows)
+            for row in poisoned_rows:
+                values[(rows == table[row]).all(axis=1)] = np.nan
+            return values
+
+        with monkeypatch.context() as patch:
+            patch.setattr(a2c_module, "sell_thresholds", poisoned)
+            patch.setattr(a2c_module, "train_on_policy", loop)
+            try:
+                a2c_train(factory, hp, seed=1)
+            except TrainingDiverged as err:
+                assert math.isnan(err.loss)
+                return err.step
+        return None
+
+    per_cursor = 2 if flag else 1
+    visited = {}
+    for cursor in (0, 5, 8, 13, 79):  # cursor k is the first episode's step k + 1
+        cursor_rows = [per_cursor * cursor + position for position in range(per_cursor)]
+        steps = [diverged_at(segments, [row]) for row in cursor_rows]
+        assert steps == [diverged_at(o_train_on_policy, [row]) for row in cursor_rows]
+        assert steps.count(cursor + 1) == 1 and steps.count(None) == per_cursor - 1
+        visited[cursor] = cursor_rows[steps.index(cursor + 1)]
+    # With several NaNs, the first row the path acts from raises.
+    others = [row for row in range(per_cursor * 5, per_cursor * 6) if row != visited[5]]
+    for rows, step in (([*others, visited[13], visited[79]], 14), ([visited[79], visited[8]], 9)):
+        assert diverged_at(segments, rows) == diverged_at(o_train_on_policy, rows) == step
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("train", [a2c_train, ppo_train], ids=["a2c", "ppo"])
+def test_rollouts_never_step_and_evaluate_each_reachable_row_once(monkeypatch, train, flag):
+    """Training acts without TradingEnv.step, and sell_thresholds sees each row
+    a segment can reach once: total_timesteps rows with the flag off and twice
+    that with it on, tile padding aside, in one pass per BLOCK_ROWS-row block
+    of each segment."""
+    series = random_walk_series(300, seed=3)
+    env = TradingEnv(series, compute_feature_matrix(series, default_specs()), EnvConfig(include_position_flag=flag))
+    hp = tiny_hp(total_timesteps=1000, n_steps=64, hidden_sizes=(64, 64))
+    calls = {"step": 0, "forward": 0, "rows": 0}
+    step, thresholds = TradingEnv.step, a2c_module.sell_thresholds
+
+    def counting_step(self, action):
+        calls["step"] += 1
+        return step(self, action)
+
+    def counting_thresholds(actor, rows):
+        calls["forward"] += 1
+        calls["rows"] += np.flatnonzero(rows.any(axis=1))[-1] + 1  # the zero rows after it pad the tile
+        return thresholds(actor, rows)
+
+    monkeypatch.setattr(TradingEnv, "step", counting_step)
+    monkeypatch.setattr(a2c_module, "sell_thresholds", counting_thresholds)
+    episode = env.steps_left
+    train(lambda: env, hp, seed=0)
+    # A segment ends at each rollout's end, each episode's end and total_timesteps.
+    ends = sorted({*range(hp.n_steps, hp.total_timesteps, hp.n_steps),
+                   *range(episode, hp.total_timesteps, episode), hp.total_timesteps})
+    per_cursor = 2 if flag else 1
+    blocks = sum(math.ceil(per_cursor * n / BLOCK_ROWS) for n in np.diff([0, *ends]))
+    assert calls == {"step": 0, "forward": blocks, "rows": per_cursor * hp.total_timesteps}
+
+
+def test_episode_return_adds_rewards_left_to_right(monkeypatch, tmp_path):
+    """training_log.csv's episode_return is the episode's rewards added one by
+    one, left to right, which here differs from math.fsum. sum() of floats is
+    compensated from Python 3.12 on, so only the running sum keeps the log's
+    bytes on every supported Python."""
+    env = tiny_env(90)
+    ledgers = []
+    reset = env.reset
+
+    def recording_reset():
+        ledgers.append(env.ledger.rewards)
+        reset()
+
+    monkeypatch.setattr(env, "reset", recording_reset)
+    _, log = a2c_train(lambda: env, tiny_hp(total_timesteps=400, n_steps=8), seed=0)
+    episodes = ledgers[1:]  # the first reset starts training
+    assert len(log) == len(episodes) == 4
+    running = []
+    for rewards in episodes:
+        total = 0.0
+        for reward in rewards:
+            total += reward
+        running.append(total)
+    assert any(total != math.fsum(rewards) for total, rewards in zip(running, episodes))
+    log.to_csv(tmp_path / "training_log.csv")
+    lines = (tmp_path / "training_log.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[1] for line in lines] == list(map(repr, running))
 
 
 WIDTHS = {  # flag-on observation width: (indicators, window)
