@@ -108,7 +108,8 @@ def row_values(env, evaluate, lo: int, hi: int) -> np.ndarray:
     ``BLOCK_ROWS``-row blocks of ``env.observation_rows``. A block is zero-padded
     to a multiple of 8 rows, so every row sits in a whole gemm row tile and its
     value is the same bits whichever block, or padded table, it is evaluated in.
-    Greedy backtests and on-policy rollout segments pass ``env.rows_ahead``."""
+    An empty range gives an empty array. Greedy backtests and on-policy
+    rollout segments pass ``env.rows_ahead``."""
     hi = min(hi, env.observation_count)
     values = []
     for start in range(lo, hi, BLOCK_ROWS):
@@ -117,7 +118,7 @@ def row_values(env, evaluate, lo: int, hi: int) -> np.ndarray:
         if rows % 8:
             block = np.concatenate((block, np.zeros((-rows % 8, block.shape[1]))))
         values.append(evaluate(block)[:rows])
-    return np.concatenate(values)
+    return np.concatenate(values) if values else np.empty(0)
 
 
 @dataclass(frozen=True)

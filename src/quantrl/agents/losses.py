@@ -5,9 +5,10 @@ and the critic's value) and the softmax-policy loss (A2C's policy gradient
 and PPO's clipped surrogate). Each function returns (scalar loss, parameter
 gradients) and is a pure function of the network parameters and its fixed
 inputs, so the analytic gradients can be validated against central finite
-differences. Given a ``workspace``, the forward and backward passes run in
-its buffers and the returned gradients are its gradient buffer, valid until
-its next call.
+differences. Given a ``workspace``, the forward and backward passes, the
+row index and the output gradient use its buffers and the returned gradients
+are its gradient buffer, valid until its next call; without one, each call
+builds a fresh workspace.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ def squared_error_loss(net: MlpPolicy, states: np.ndarray, columns, targets: np.
                        workspace: Workspace | None = None):
     """mean((net(s)[row, columns[row]] - y)^2) against fixed targets y; ``columns``
     is an array with one output column per row, or one column for every row."""
+    workspace = workspace or Workspace(net, len(targets))
     outputs, cache = forward_cached(net, states, workspace)
-    rows = np.arange(len(targets))
+    rows, grad_out = workspace.leading(workspace.loss_buffers, len(targets))
     delta = outputs[rows, columns] - targets
     loss = float(np.add.reduce(delta * delta) / len(delta))
-    grad_out = np.zeros_like(outputs)
+    grad_out.fill(0.0)
     grad_out[rows, columns] = 2.0 * delta / len(targets)
     return loss, mlp_backward(net, cache, grad_out, workspace)
 
@@ -40,15 +42,16 @@ def _softmax_policy_loss(actor: MlpPolicy, states: np.ndarray, actions: np.ndarr
     """-mean(J) - entropy_coef * mean(H), where ``objective(log pi(a|s))``
     returns each row's objective J and W = dJ/dlog pi(a|s), so that the
     logits' gradient of -mean(J) is -W (onehot(a) - pi) / batch."""
+    batch = len(actions)
+    workspace = workspace or Workspace(actor, batch)
     logits, cache = forward_cached(actor, states, workspace)
     logp = log_softmax(logits)
     probs = np.exp(logp)
-    batch = len(actions)
-    rows = np.arange(batch)
+    rows, one_hot = workspace.leading(workspace.loss_buffers, batch)
     gain, weight = objective(logp[rows, actions])
     entropy = -(probs * logp).sum(axis=1)
     loss = float(-gain.mean() - entropy_coef * entropy.mean())
-    one_hot = np.zeros_like(logits)
+    one_hot.fill(0.0)
     one_hot[rows, actions] = 1.0
     grad_logits = -(weight[:, None] * (one_hot - probs)) / batch
     grad_logits += entropy_coef * probs * (logp + entropy[:, None]) / batch

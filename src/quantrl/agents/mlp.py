@@ -105,17 +105,20 @@ def mlp_forward(policy: MlpPolicy, x: np.ndarray) -> np.ndarray:
 
 
 class Workspace:
-    """Scratch buffers that ``forward_cached`` and ``mlp_backward`` reuse on
-    every call for one network shape and batches of up to ``rows`` rows: each
-    layer's output, each hidden layer's backward delta and ``1 - a*a`` factor,
-    and one flat gradient (laid out like ``policy.flat``) with per-layer views
-    built once. A batch of n rows uses the leading n rows of each buffer, which
-    are C-contiguous like freshly allocated arrays, so every matmul sees the
-    shapes and layouts it would see without a workspace.
+    """Scratch buffers that ``forward_cached``, ``mlp_backward`` and the losses
+    reuse on every call for one network shape and batches of up to ``rows``
+    rows: each layer's output, each hidden layer's backward delta and
+    ``1 - a*a`` factor, one flat gradient (laid out like ``policy.flat``) with
+    per-layer views built once, and the losses' row index ``0..rows-1`` and
+    output-gradient buffer. A full batch uses the buffers themselves; a batch
+    of n < ``rows`` rows uses their leading n rows, which are C-contiguous like
+    freshly allocated arrays, so every matmul sees the shapes and layouts it
+    would see without a workspace.
 
-    Aliasing: the output and cache that ``forward_cached`` returns and the
-    gradient that ``mlp_backward`` returns are this workspace's buffers. They
-    stay valid only until the next call that uses this workspace.
+    Aliasing: the output and cache that ``forward_cached`` returns, the
+    output gradient a loss writes and the gradient that ``mlp_backward``
+    returns are this workspace's buffers. They stay valid only until the next
+    call that uses this workspace.
     """
 
     def __init__(self, policy: MlpPolicy, rows: int):
@@ -123,17 +126,19 @@ class Workspace:
             raise ShapeMismatch(f"workspace needs at least one row, got {rows}")
         sizes = policy.layer_sizes
         self.rows = rows
-        self.outputs = [np.empty((rows, n)) for n in sizes[1:]]
-        self.deltas = [np.empty((rows, n)) for n in sizes[1:-1]]
-        self.factors = [np.empty((rows, n)) for n in sizes[1:-1]]
+        self.outputs = tuple(np.empty((rows, n)) for n in sizes[1:])
+        self.deltas = tuple(np.empty((rows, n)) for n in sizes[1:-1])
+        self.factors = tuple(np.empty((rows, n)) for n in sizes[1:-1])
+        self.loss_buffers = (np.arange(rows), np.empty((rows, sizes[-1])))
         self.grad = np.empty(param_count(sizes))
         self.grad_w, self.grad_b = _layer_views(sizes, self.grad)
 
-    def leading(self, buffers: list[np.ndarray], n: int) -> list[np.ndarray]:
-        """The first n rows of each of these buffers."""
+    def leading(self, buffers: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, ...]:
+        """The first n rows of each of these buffers: the buffers themselves
+        when n is ``rows``."""
         if not 1 <= n <= self.rows:
             raise ShapeMismatch(f"batch of {n} rows for a workspace of {self.rows}")
-        return [buf[:n] for buf in buffers]
+        return buffers if n == self.rows else tuple(buf[:n] for buf in buffers)
 
 
 def forward_cached(policy: MlpPolicy, x: np.ndarray,

@@ -28,7 +28,7 @@ from quantrl import (
 )
 import quantrl.backtest as backtest_module
 from quantrl.agents import init_mlp, mlp_forward
-from quantrl.agents.common import BLOCK_ROWS
+from quantrl.agents.common import BLOCK_ROWS, row_values
 from quantrl.backtest import PerformanceReport, Trade
 from quantrl.errors import TooFewSamples
 
@@ -409,3 +409,16 @@ def test_run_policy_never_steps_and_forwards_once_per_block(monkeypatch, flag):
     ledger, _, _ = run_policy(env, policy)
     rows = len(ledger) * (2 if flag else 1)
     assert calls == {"step": 0, "forward": math.ceil(rows / BLOCK_ROWS)}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_greedy_path_of_a_finished_episode_is_empty(flag):
+    env = _grid_env(RewardKind.IMMEDIATE, 0.001, flag)
+    policy = _grid_policy("seeded0", env.observation_size)
+    env.reset()
+    env.replay(backtest_module.greedy_path(env, policy))
+    assert env.done
+    assert backtest_module.greedy_path(env, policy) == []
+    lo, hi = env.rows_ahead(env.steps_left)
+    assert lo == hi
+    assert len(row_values(env, lambda rows: mlp_forward(policy, rows).max(axis=1), lo, hi)) == 0

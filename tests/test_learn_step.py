@@ -221,6 +221,30 @@ def test_ppo_policy_loss_is_its_one_body(columns, sign):
     assert_same_arithmetic(ppo_policy_loss, o_ppo_policy_loss, actor, states, columns, logp_old, advantages, 0.2, 0.01)
 
 
+def test_loss_buffers_carry_nothing_between_calls():
+    """On one workspace, each loss runs twice in a row with other action
+    columns, then on a remainder batch: the row index and output-gradient
+    buffer the losses share hold nothing from an earlier call, so every call
+    equals the allocating reference."""
+    rng, net, _, states = loss_inputs(6)
+    workspace = Workspace(net, LOSS_ROWS)
+    targets, advantages = rng.normal(size=LOSS_ROWS), rng.normal(size=LOSS_ROWS)
+    logp_old = np.log(rng.uniform(0.2, 0.8, size=LOSS_ROWS))
+    losses = (
+        (squared_error_loss, o_q_loss_and_grads, lambda n, columns: (columns, targets[:n])),
+        (value_loss, o_value_loss, lambda n, columns: (targets[:n] + columns,)),
+        (policy_gradient_loss, o_policy_gradient_loss, lambda n, columns: (columns, advantages[:n], 0.01)),
+        (ppo_policy_loss, o_ppo_policy_loss,
+         lambda n, columns: (columns, logp_old[:n], advantages[:n], 0.2, 0.01)),
+    )
+    for loss, oracle, inputs in losses:
+        for n, columns in ((LOSS_ROWS, "buy"), (LOSS_ROWS, "sell"), (LOSS_ROWS - 4, "mixed")):
+            args = (states[:n], *inputs(n, COLUMNS[columns][:n]))
+            got_loss, got_grads = loss(net, *args, workspace=workspace)
+            ref_loss, ref_grads = oracle(net, *args)
+            assert got_loss == ref_loss and np.array_equal(got_grads, ref_grads), (loss.__name__, n, columns)
+
+
 # --- allocation tripwire ------------------------------------------------------------
 
 
