@@ -95,7 +95,6 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
         raise SchemaError("agent.n_steps", f"the rollout cannot be allocated: {exc}") from exc
     log = TrainingLog()
     env.reset()
-    episode_return = 0.0
     last_loss = float("nan")
     steps = fill = 0
     while steps < hp.total_timesteps:
@@ -109,19 +108,15 @@ def train_on_policy(env_factory, hp: Hyperparams, seed: int, update,
             raise TrainingDiverged(steps + int(diverged.argmax()) + 1, float("nan"))
         path = decisions[visited]
         env.replay(path)
-        rewards = env.ledger.rewards[-n:]
         end = fill + n
         rollout.rows[fill:end] = lo + visited
         rollout.actions[fill:end] = path
-        rollout.rewards[fill:end] = rewards
+        rollout.rewards[fill:end] = env.ledger.rewards[-n:]
         rollout.dones[fill:end] = False
         rollout.dones[end - 1] = env.done
         steps, fill = steps + n, end
-        for reward in rewards:  # not sum(): it is compensated from Python 3.12 on
-            episode_return += reward
         if env.done:
-            log.append(TrainingRecord(steps, episode_return, last_loss))
-            episode_return = 0.0
+            log.append(TrainingRecord(steps, env.ledger.episode_return(), last_loss))
             env.reset()
         if fill == hp.n_steps:
             rollout.rows[fill] = env.observation_index

@@ -105,19 +105,22 @@ BLOCK_ROWS = 128  # rows per forward pass of a frozen network: whole 8-row gemm 
 def row_values(env, evaluate, lo: int, hi: int) -> np.ndarray:
     """``evaluate`` (a frozen network's per-row values) over the env's
     observation rows ``lo..hi-1``, clipped at the last row like a slice, in
-    ``BLOCK_ROWS``-row blocks of ``env.observation_rows``. A block is zero-padded
-    to a multiple of 8 rows, so every row sits in a whole gemm row tile and its
-    value is the same bits whichever block, or padded table, it is evaluated in.
-    An empty range gives an empty array. Greedy backtests and on-policy
-    rollout segments pass ``env.rows_ahead``."""
-    hi = min(hi, env.observation_count)
+    ``BLOCK_ROWS``-row blocks. Each block is gathered by ``env.observations``
+    into the leading rows of one zero-filled buffer, its rows past the range
+    are zeroed, and its rows rounded up to a multiple of 8 are evaluated, so
+    every row sits in a whole gemm row tile and its value is the same bits
+    whichever block, or padded table, it is evaluated in. An empty range gives
+    an empty array. Greedy backtests and on-policy rollout segments pass
+    ``env.rows_ahead``."""
+    hi = max(lo, min(hi, env.observation_count))
+    buffer = np.zeros((min(BLOCK_ROWS, -(-(hi - lo) // 8) * 8), env.observation_size))
     values = []
     for start in range(lo, hi, BLOCK_ROWS):
-        block = env.observation_rows(start, min(start + BLOCK_ROWS, hi))
-        rows = len(block)
-        if rows % 8:
-            block = np.concatenate((block, np.zeros((-rows % 8, block.shape[1]))))
-        values.append(evaluate(block)[:rows])
+        rows = min(BLOCK_ROWS, hi - start)
+        env.observations(np.arange(start, start + rows), out=buffer[:rows])
+        tiles = -(-rows // 8) * 8
+        buffer[rows:tiles] = 0.0
+        values.append(evaluate(buffer[:tiles])[:rows])
     return np.concatenate(values) if values else np.empty(0)
 
 

@@ -63,7 +63,6 @@ class DqnTrainer:
         self.log = TrainingLog()
         self.step_count = 0
         self.last_loss = float("nan")
-        self._episode_return = 0.0
         env.reset()
         self._obs_index = env.observation_index
 
@@ -90,7 +89,6 @@ class DqnTrainer:
         result = self.env.step(action)
         next_index = self.env.observation_index
         self.buffer.push(self._obs_index, action, result.reward, next_index, result.done)
-        self._episode_return += result.reward
         self._obs_index = next_index
         self.step_count += 1
         if len(self.buffer) >= self.hp.batch_size:
@@ -106,8 +104,7 @@ class DqnTrainer:
             self.target = self.policy.copy()
             self._target_q_max()
         if result.done:
-            self.log.append(TrainingRecord(self.step_count, self._episode_return, self.last_loss, eps))
-            self._episode_return = 0.0
+            self.log.append(TrainingRecord(self.step_count, self.env.ledger.episode_return(), self.last_loss, eps))
             self.env.reset()
             self._obs_index = self.env.observation_index
 

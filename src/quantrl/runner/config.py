@@ -165,9 +165,9 @@ def _parse_specs(raw_specs, path: str) -> list[IndicatorSpec]:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise SchemaError(f"{path}[{i}]", "expected an object with a 'kind' field")
         fields = dict(entry)
-        if "periods" in fields:
-            fields["periods"] = tuple(fields["periods"])
         try:
+            if "periods" in fields:
+                fields["periods"] = tuple(fields["periods"])
             specs.append(IndicatorSpec(**fields))
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}[{i}]", str(exc)) from exc

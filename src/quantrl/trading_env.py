@@ -70,9 +70,9 @@ class EnvConfig:
 class ObservationWindow:
     """window_size x n_features block of normalized values, newest row last,
     plus the optional trailing position flag (0 = Short, 1 = Long). The env
-    builds none: agents read observation rows (``TradingEnv.observation_index``)
-    through ``observation_rows`` and ``observations``. The benchmark traces
-    ``flatten`` by name, so the class stays until that trace goes."""
+    builds none: agents gather observation rows (``TradingEnv.observation_index``)
+    with ``TradingEnv.observations``. The benchmark traces ``flatten`` by name,
+    so the class stays until that trace goes."""
 
     values: np.ndarray
     position_flag: float | None = None
@@ -102,8 +102,9 @@ class EpisodeLedger:
     close it was marked at, the reward and the equity after it. Steps are
     numbered from 1. The env is always in the market, so the position an
     action leaves equals the action's value and is read from ``actions``.
-    ``TradingEnv.step`` appends one row, ``TradingEnv.replay`` extends every
-    column at once; ``records`` builds the rows as ``LedgerRecord``s on access."""
+    ``extend`` writes every row: one for ``TradingEnv.step``, a path's worth for
+    ``TradingEnv.replay``. ``records`` builds the rows as ``LedgerRecord``s on
+    access, and ``episode_return`` is the rewards' sum that trainers log."""
 
     def __init__(self):
         self.actions: list[int] = []
@@ -111,16 +112,9 @@ class EpisodeLedger:
         self.rewards: list[float] = []
         self.equity: list[float] = []
 
-    def append(self, action: int, price: float, reward: float, equity: float) -> None:
-        if equity <= 0.0:
-            raise NonPositiveEquity(f"step {len(self.equity) + 1}: equity {equity}")
-        self.actions.append(action)
-        self.prices.append(price)
-        self.rewards.append(reward)
-        self.equity.append(equity)
-
     def extend(self, actions: list[int], prices: list[float], rewards: list[float], equity: list[float]) -> None:
-        """Append several steps; all columns have the same length."""
+        """Append steps, the same number to every column, once every equity
+        is checked to be positive."""
         if equity and min(equity) <= 0.0:
             bad = next(k for k, value in enumerate(equity) if value <= 0.0)
             raise NonPositiveEquity(f"step {len(self.equity) + bad + 1}: equity {equity[bad]}")
@@ -128,6 +122,14 @@ class EpisodeLedger:
         self.prices += prices
         self.rewards += rewards
         self.equity += equity
+
+    def episode_return(self) -> float:
+        """The rewards added one by one, left to right; not ``sum()``, which is
+        compensated from Python 3.12 on, so the logged bytes would depend on it."""
+        total = 0.0
+        for reward in self.rewards:
+            total += reward
+        return total
 
     def __len__(self) -> int:
         return len(self.equity)
@@ -226,18 +228,6 @@ class TradingEnv:
         table.flags.writeable = False
         return table
 
-    def observation_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Observation rows ``lo..hi-1`` (see ``observation_index``), clipped at
-        the last row like a slice, built from the window table as a new array."""
-        if not self._flagged:
-            return self._windows[lo:hi].copy()
-        first = lo // 2
-        windows = self._windows[first : (hi + 1) // 2]
-        rows = np.empty((len(windows), 2, self.observation_size))
-        rows[:, :, :-1] = windows[:, None]
-        rows[:, :, -1] = (Position.SHORT, Position.LONG)
-        return rows.reshape(2 * len(windows), -1)[lo - 2 * first : hi - 2 * first]
-
     def observations(self, rows, out: np.ndarray | None = None) -> np.ndarray:
         """Observation rows ``rows`` (see ``observation_index``; any order,
         repeats allowed, one int for a single row), gathered from the window
@@ -257,7 +247,7 @@ class TradingEnv:
     @property
     def observation_index(self) -> int:
         """The current observation's row in the env's observation row space,
-        which ``observation_rows`` and ``observations`` read: per cursor from
+        which ``observations`` gathers from: per cursor from
         ``start_cursor`` to the last bar, the window then the Short flag (row
         2k) and the window then the Long flag (row 2k + 1), or the window alone
         (row k) when the flag is off. No path builds the whole space."""
@@ -360,7 +350,7 @@ class TradingEnv:
             reward = flip_reward
         else:
             reward = reward_terminal(self._done, self.config.initial_cash, self._equity)
-        self.ledger.append(int(action), price_next, reward, self._equity)
+        self.ledger.extend([int(action)], [price_next], [reward], [self._equity])
         return StepResult(reward, self._done)
 
     def replay(self, path) -> None:

@@ -4,7 +4,8 @@ Everything here is written directly from the defining formulas with plain
 Python loops and window recomputation - no shared code with the package
 and no incremental shortcuts beyond the definitions themselves. The
 exceptions use the package: ``observe`` reads its env's current
-observation and ``observation_table`` all of its observation rows,
+observation and ``observation_table`` all of its observation rows from
+the env's window table,
 ``o_run_policy`` and ``o_train_on_policy`` drive their env bar by bar, and
 the four ``o_*_loss*``
 bodies run its network passes, which ``o_forward_cached`` and
@@ -653,8 +654,13 @@ def o_corr_matrix(common, kinds):
 
 
 def observation_table(env):
-    """Every observation row of ``env`` (see ``TradingEnv.observation_index``), in order."""
-    return env.observation_rows(0, (len(env.series) - env.start_cursor) * (2 if env.config.include_position_flag else 1))
+    """Every observation row of ``env`` (see ``TradingEnv.observation_index``), in
+    order, built from its window table: with the flag, each window twice, first
+    with the Short flag 0 and then with the Long flag 1; without it, the windows."""
+    if not env.config.include_position_flag:
+        return env._windows.copy()
+    flags = np.tile([0.0, 1.0], len(env._windows))[:, None]
+    return np.hstack((np.repeat(env._windows, 2, axis=0), flags))
 
 
 def observe(env):

@@ -700,11 +700,12 @@ def test_rollouts_never_step_and_evaluate_each_reachable_row_once(monkeypatch, t
     assert calls == {"step": 0, "forward": blocks, "rows": per_cursor * hp.total_timesteps}
 
 
-def test_episode_return_adds_rewards_left_to_right(monkeypatch, tmp_path):
+@pytest.mark.parametrize("train", [dqn_train, a2c_train, ppo_train], ids=["dqn", "a2c", "ppo"])
+def test_episode_return_adds_rewards_left_to_right(monkeypatch, tmp_path, train):
     """training_log.csv's episode_return is the episode's rewards added one by
-    one, left to right, which here differs from math.fsum. sum() of floats is
-    compensated from Python 3.12 on, so only the running sum keeps the log's
-    bytes on every supported Python."""
+    one, left to right, which here differs from math.fsum, for every trainer.
+    sum() of floats is compensated from Python 3.12 on, so only a left-to-right
+    fold keeps the log's bytes on every supported Python."""
     env = tiny_env(90)
     ledgers = []
     reset = env.reset
@@ -714,7 +715,7 @@ def test_episode_return_adds_rewards_left_to_right(monkeypatch, tmp_path):
         reset()
 
     monkeypatch.setattr(env, "reset", recording_reset)
-    _, log = a2c_train(lambda: env, tiny_hp(total_timesteps=400, n_steps=8), seed=0)
+    _, log = train(lambda: env, tiny_hp(total_timesteps=400, n_steps=8), seed=0)
     episodes = ledgers[1:]  # the first reset starts training
     assert len(log) == len(episodes) == 4
     running = []
@@ -761,6 +762,36 @@ def test_row_values_equal_padded_table_forward(flag, width):
             for hi in (lo + 1, lo + 7, lo + 130, rows):
                 values = row_values(env, evaluate, lo, hi)
                 assert values.tobytes() == reference[lo:hi].tobytes(), (name, lo, hi)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_row_values_pad_every_block_with_zero_rows(flag):
+    """Every block row_values hands evaluate has at most BLOCK_ROWS rows, a
+    multiple of 8, holds the range's rows in order and exactly 0.0 after them,
+    also when its buffer held a full block before: ranges end 1-7 rows past a
+    block boundary, and one runs past the last row, where it is clipped."""
+    series = random_walk_series(293, seed=11)
+    env = TradingEnv(series, compute_feature_matrix(series, default_specs()), EnvConfig(include_position_flag=flag))
+    table = observation_table(env)
+    rows = len(table)
+    ranges = [(lo, lo + blocks * BLOCK_ROWS + extra) for lo in (0, 5) for blocks in (1, 2) for extra in range(1, 8)]
+    for lo, hi in [*ranges, (rows - BLOCK_ROWS - 3, rows + 9)]:
+        blocks = []
+
+        def spy(block):
+            blocks.append(block.copy())
+            return block[:, 0] + 1.0
+
+        values = row_values(env, spy, lo, hi)
+        hi = min(hi, rows)
+        assert values.tobytes() == (table[lo:hi, 0] + 1.0).tobytes()
+        assert len(blocks) == math.ceil((hi - lo) / BLOCK_ROWS)
+        starts = range(lo, hi, BLOCK_ROWS)
+        for start, block in zip(starts, blocks):
+            real = min(BLOCK_ROWS, hi - start)
+            assert len(block) <= BLOCK_ROWS and len(block) % 8 == 0 and len(block) - real < 8, (lo, hi)
+            assert block[:real].tobytes() == table[start : start + real].tobytes()
+            assert (block[real:] == 0.0).all() and not np.signbit(block[real:]).any(), (lo, hi)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -7,6 +7,8 @@ import importlib
 import json
 from pathlib import Path
 
+import pytest
+
 from conftest import random_walk_series
 from quantrl import save_csv
 from quantrl.runner.cli import EXIT_OK, cli
@@ -25,7 +27,10 @@ def test_every_traced_name_resolves(monkeypatch):
     assert instrument.TRACED and not missing
 
 
-def test_clock_sees_one_pipeline_round(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("algorithm", ["DQN", "A2C", "PPO"])
+def test_clock_sees_one_pipeline_round(monkeypatch, tmp_path, capsys, algorithm):
+    """The clock sees the trainer, every episode end (TrainingLog.append), the
+    set-up calls and the backtest."""
     instrument = import_instrument(monkeypatch)
     data = tmp_path / "walk.csv"
     save_csv(random_walk_series(120, seed=3), data)
@@ -35,7 +40,8 @@ def test_clock_sees_one_pipeline_round(monkeypatch, tmp_path, capsys):
         "data": {"path": str(data)},
         "features": {"specs": [{"kind": "SMA", "period": 2}, {"kind": "RSI", "period": 5}]},
         "env": {"window_size": 3},
-        "agent": {"total_timesteps": 200, "buffer_size": 64, "batch_size": 8, "target_update_interval": 50},
+        "agent": {"algorithm": algorithm, "total_timesteps": 200, "buffer_size": 64, "batch_size": 8,
+                  "target_update_interval": 50, "n_steps": 16, "n_epochs": 2},
         "output_dir": str(out),
     }))
     with instrument.Clock() as clock:
@@ -43,7 +49,8 @@ def test_clock_sees_one_pipeline_round(monkeypatch, tmp_path, capsys):
             assert cli([*argv, "--config", str(config)]) == EXIT_OK
         assert cli(["compare", str(out / "report.json"), "--out", str(tmp_path / "cmp")]) == EXIT_OK
     capsys.readouterr()
-    assert [call[:2] for call in clock.train_calls] == [("DQN", 200)]
-    assert len(clock.episodes) >= 1
+    assert [call[:2] for call in clock.train_calls] == [(algorithm, 200)]
+    logged = [int(line.split(",")[0]) for line in (out / "training_log.csv").read_text().splitlines()[1:]]
+    assert [timestep for _, timestep in clock.episodes] == logged and logged
     assert clock.bars == len((out / "ledger.csv").read_text().splitlines()) - 1 > 0
     assert clock.setup_s > 0 and clock.backtest_s > 0

@@ -304,14 +304,16 @@ def test_cli_negative_seed_is_config_error(tmp_path, data_csv, capsys, args, ove
     ({"kind": "SMA", "period": True}, "must be integers"),
     ({"kind": "MACD", "fast": False}, "must be integers"),
     ({"kind": "UO", "periods": [7, 14]}, "must be integers"),
+    ({"kind": "UO", "periods": 7}, "not iterable"),
+    ({"kind": "UO", "periods": None}, "not iterable"),
     ({"kind": "SMA", "period": 2, "name": 5}, "name must be a non-empty string"),
     ({"kind": "MACD", "name": ""}, "name must be a non-empty string"),
     ({"kind": "SAR", "accel_start": float("nan")}, "must be finite numbers"),
     ({"kind": "SAR", "accel_step": "0.02"}, "must be finite numbers"),
     ({"kind": "SAR", "accel_start": 0.3}, "0 < accel_start <= accel_max"),
     ({"kind": "WMA", "period": 3, "name": "SMA_2"}, "duplicate column name 'SMA_2'"),
-], ids=["float-period", "bool-period", "bool-fast", "two-periods", "int-name", "empty-name", "nan-accel", "str-accel",
-        "sar-rule", "duplicate-name"])
+], ids=["float-period", "bool-period", "bool-fast", "two-periods", "int-periods", "null-periods", "int-name",
+        "empty-name", "nan-accel", "str-accel", "sar-rule", "duplicate-name"])
 def test_cli_bad_indicator_spec_is_config_error(tmp_path, data_csv, capsys, spec, detail):
     cfg = write_config(tmp_path, data_csv, features={"specs": [{"kind": "SMA", "period": 2}, spec]})
     assert cli(["features", "--config", str(cfg)]) == EXIT_CONFIG

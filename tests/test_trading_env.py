@@ -407,6 +407,9 @@ def test_observation_count_is_the_table_length(flag):
 @pytest.mark.parametrize("flag", [True, False])
 @pytest.mark.parametrize("kind", list(NormalizationKind))
 def test_observation_rows_equal_table_slices(kind, flag):
+    """``observations`` gathers rows of the row space equal to the oracle table,
+    built from the window table alone: every range, scattered rows with
+    repeats, into ``out``, and one row at a time."""
     series = random_walk_series(40, seed=13)
     features = compute_feature_matrix(series, [IndicatorSpec("SMA", 2), IndicatorSpec("WMA", 3)])
     env = TradingEnv(series, features, EnvConfig(window_size=3, normalization=kind, include_position_flag=flag))
@@ -414,8 +417,8 @@ def test_observation_rows_equal_table_slices(kind, flag):
     n = len(table)
     assert n == (2 if flag else 1) * (len(series) - env.start_cursor)
     for lo in range(n):
-        for hi in range(lo + 1, n + 3):  # past the end, rows are clipped like a slice
-            rows = env.observation_rows(lo, hi)
+        for hi in range(lo + 1, n + 1):
+            rows = env.observations(np.arange(lo, hi))
             assert rows.shape == table[lo:hi].shape
             assert rows.tobytes() == table[lo:hi].tobytes()
     # a gather takes rows in any order, with repeats, into a new array or ``out``
