@@ -72,8 +72,7 @@ class Learner:
         self.optimizer.update(self.net.flat, grads)
 
 
-def linear_epsilon(step: int, total_timesteps: int, initial: float = 1.0,
-                   final: float = 0.05, fraction: float = 0.10) -> float:
+def linear_epsilon(step: int, total_timesteps: int, initial: float, final: float, fraction: float) -> float:
     """Linear anneal: epsilon(0) = initial, epsilon(t >= fraction*T) = final."""
     decay_steps = fraction * total_timesteps
     if step >= decay_steps or decay_steps == 0:
@@ -146,7 +145,7 @@ class TrainingLog:
         return len(self.records)
 
     def to_csv(self, path: str | Path) -> None:
-        with atomic_open(path, newline="") as handle:
+        with atomic_open(path) as handle:
             writer = csv.writer(handle)
             writer.writerow(["timestep", "episode_return", "loss", "epsilon", "eval_return"])
             for r in self.records:

@@ -10,13 +10,15 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_open(path: str | Path, mode: str = "w", newline: str | None = None):
-    """Open a temp file in ``path``'s directory for writing. On a clean exit it
-    replaces ``path`` with ``os.replace``; on an exception it is removed."""
+def atomic_open(path: str | Path, mode: str = "w"):
+    """Open a temp file in ``path``'s directory for writing, a text file with
+    ``newline=""`` so the line ends written are the bytes on every platform. On
+    a clean exit it replaces ``path`` with ``os.replace``; on an exception it is
+    removed."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, newline=newline) as handle:
+        with open(tmp, mode, newline=None if "b" in mode else "") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:

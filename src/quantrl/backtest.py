@@ -91,8 +91,8 @@ def greedy_path(env: TradingEnv, policy: MlpPolicy) -> list[int]:
 
 def run_policy(env: TradingEnv, policy: MlpPolicy):
     """Run one greedy episode (argmax actions, ties to Sell) from reset to the
-    last bar: ``greedy_path`` reads the actions, ``env.replay`` writes the
-    ledger in closed form, bit-equal to stepping the env bar by bar.
+    last bar: ``greedy_path`` reads the actions, and ``env.replay`` writes the
+    ledger through the env's one per-bar transition, as stepping would.
 
     Returns (ledger, equity curve, trades). Consecutive flips pair into
     trades; a same-bar reversal produces no trade record (commission still
@@ -302,7 +302,7 @@ def render_report(report: PerformanceReport, ledger: EpisodeLedger, curve: Equit
         handle.write("\n".join(["step,equity", *map(",".join, zip(map(str, range(len(values))), value_text)), ""]))
     with atomic_open(paths["trades"]) as handle:
         handle.write(_trades_csv(trades, dict(zip(ledger.prices, price_text))))
-    with atomic_open(paths["ledger"], newline="") as handle:
+    with atomic_open(paths["ledger"]) as handle:
         handle.write(ledger.csv_text(price_text, value_text[1:] if values[1:] == ledger.equity else None))
     with atomic_open(paths["svg"]) as handle:
         handle.write(_equity_svg(curve, trades, start_cursor))

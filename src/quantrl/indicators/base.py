@@ -92,7 +92,7 @@ class FeatureMatrix:
             raise ValueError(f"{len(dates)} dates for {len(self)} rows")
         header = io.StringIO()
         csv.writer(header).writerow(["Date"] + self.names)
-        with atomic_open(path, newline="") as handle:
+        with atomic_open(path) as handle:
             handle.write(header.getvalue())
             for day, row in zip(dates, self.to_array()):
                 day = day.isoformat() if hasattr(day, "isoformat") else str(day)

@@ -276,7 +276,7 @@ def save_csv(series: OhlcvSeries, path: str | Path) -> None:
     load_csv(save_csv(s)) == s."""
     days = map(date.isoformat, series.dates())
     rows = map(",".join, zip(days, *(map(repr, column) for column in series._values.tolist())))
-    with atomic_open(path, newline="") as handle:
+    with atomic_open(path) as handle:
         handle.write("\r\n".join([",".join(CSV_HEADER), *rows, ""]))
 
 

@@ -199,7 +199,7 @@ class CorrelationMatrix:
             raise ValueError("entries outside [-1, 1]")
 
     def to_csv(self, path: str | Path) -> None:
-        with atomic_open(path, newline="") as handle:
+        with atomic_open(path) as handle:
             writer = csv.writer(handle)
             writer.writerow([""] + list(self.names))
             for name, row in zip(self.names, self.values):

@@ -8,6 +8,7 @@ comes from the QUANTRL_LOG environment variable (debug/info/warning/error).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -257,8 +258,7 @@ def _cmd_compare(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with atomic_open(out / "compare.csv") as handle:
-            for row in rows:
-                handle.write(",".join(row) + "\n")
+            csv.writer(handle, lineterminator="\n").writerows(rows)
         print(f"wrote {out / 'compare.csv'}")
     return EXIT_OK
 

@@ -7,7 +7,7 @@ import ctypes
 import json
 import os
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -76,12 +76,5 @@ class RunManifest:
     environment: dict = field(default_factory=numerical_environment)
 
     def write(self, path: str | Path) -> None:
-        data = {
-            "config_hash": self.config_hash,
-            "artifacts": self.artifacts,
-            "created_at": self.created_at,
-            "version": self.version,
-            "environment": self.environment,
-        }
         with atomic_open(path) as handle:
-            handle.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+            handle.write(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")

@@ -197,7 +197,7 @@ class TradingEnv:
             raise ValueError(f"features rows {len(features)} != series bars {len(series)}")
         self.series = series
         self.features = features
-        self._closes = series.closes()
+        self._closes = series.closes().tolist()
         self._warmup = features.warmup
         self._start = self._warmup + self.config.window_size - 1
         if self._start + 1 > len(series) - 1:
@@ -207,7 +207,8 @@ class TradingEnv:
             )
         self._last = len(series) - 1
         self._flagged = self.config.include_position_flag
-        self._reward_kind = self.config.reward_kind
+        self._immediate = self.config.reward_kind is RewardKind.IMMEDIATE
+        self._on_flip = self.config.reward_kind is RewardKind.ON_FLIP
         self._windows = self._window_table(stats)
         self._cursor = self._start
         self._done = True
@@ -317,50 +318,26 @@ class TradingEnv:
         self._done = False
         self._position = Position.SHORT
         self._equity = self.config.initial_cash
-        self._last_trade_price = float(self._closes[self._start])
+        self._last_trade_price = self._closes[self._start]
         self.ledger = EpisodeLedger()
 
     def step(self, action: Action | int) -> StepResult:
+        """Take ``action`` (0 Sell, 1 Buy) for one bar, as ``_advance`` does,
+        and return its reward and whether the episode ended."""
         if self._done:
             raise SteppedAfterDone("episode finished; call reset()")
         try:
             action = _ACTIONS[action]
         except (KeyError, TypeError):
             action = Action(action)  # raises ValueError on an invalid action
-        position = _SIDE_AFTER[action]
-        flipped = position is not self._position
-        price_now = float(self._closes[self._cursor])
-        flip_reward = 0.0
-        if flipped:
-            flip_reward = reward_on_flip(True, self._position, self._last_trade_price, price_now)
-            self._position = position
-            self._last_trade_price = price_now
-            self._equity *= 1.0 - self.config.commission
-        self._cursor += 1
-        price_next = float(self._closes[self._cursor])
-        if position is Position.LONG:
-            self._equity *= price_next / price_now
-        else:
-            self._equity *= price_now / price_next
-        self._done = self._cursor == self._last
-        kind = self._reward_kind
-        if kind == RewardKind.IMMEDIATE:
-            reward = reward_immediate(position, price_now, price_next)
-        elif kind == RewardKind.ON_FLIP:
-            reward = flip_reward
-        else:
-            reward = reward_terminal(self._done, self.config.initial_cash, self._equity)
-        self.ledger.extend([int(action)], [price_next], [reward], [self._equity])
-        return StepResult(reward, self._done)
+        self._advance([int(action)])
+        return StepResult(self.ledger.rewards[-1], self._done)
 
     def replay(self, path) -> None:
         """Take the actions in ``path`` (0 Sell, 1 Buy) as that many ``step``
-        calls would, without observations: the ledger rows are computed in closed
-        form, and the ledger and the env's state afterwards are bit-equal to
-        stepping. Equity is one running product of the same factors ``step``
-        multiplies by, in the same order (1.0 stands for "no commission"), and
-        rewards go through the same ``math.log`` calls. Raises before changing
-        anything when ``path`` holds another value or outruns the episode."""
+        calls would, without observations, in one ``_advance``. Raises before
+        changing anything when ``path`` holds another value or outruns the
+        episode."""
         path = np.asarray(path)
         if path.ndim != 1 or not ((path == 0) | (path == 1)).all():
             raise ValueError("a replayed path is a 1-D sequence of actions 0 and 1")
@@ -369,37 +346,50 @@ class TradingEnv:
             return
         if self._done or n > self._last - self._cursor:
             raise SteppedAfterDone(f"{n} actions from cursor {self._cursor}, the episode ends at {self._last}")
-        sides = path.astype(np.intp).tolist()
-        long = path == 1
-        flipped = np.empty(n, dtype=bool)
-        flipped[0] = sides[0] != self._position
-        np.not_equal(long[1:], long[:-1], out=flipped[1:])
-        closes = self._closes[self._cursor : self._cursor + n + 1]
-        now, nxt = closes[:-1], closes[1:]
-        factors = np.empty(2 * n + 1)
-        factors[0] = self._equity
-        factors[1::2] = np.where(flipped, 1.0 - self.config.commission, 1.0)
-        factors[2::2] = np.where(long, nxt / now, now / nxt)
-        equity = np.multiply.accumulate(factors)[2::2].tolist()
-        flips = np.flatnonzero(flipped).tolist()
-        flip_prices = now[flips].tolist()
-        done = self._cursor + n == self._last
-        kind = self._reward_kind
-        if kind == RewardKind.IMMEDIATE:
-            rewards = [r if side else -r for r, side in zip(map(math.log, (nxt / now).tolist()), sides)]
-        else:
-            rewards = [0.0] * n
-            if kind == RewardKind.ON_FLIP:
-                last_price = self._last_trade_price
-                for t, price in zip(flips, flip_prices):
-                    rewards[t] = reward_on_flip(True, _SIDE_AFTER[1 - sides[t]], last_price, price)
-                    last_price = price
-            elif done:
-                rewards[-1] = reward_terminal(True, self.config.initial_cash, equity[-1])
-        self.ledger.extend(sides, nxt.tolist(), rewards, equity)
-        self._cursor += n
+        self._advance(path.astype(np.intp).tolist())
+
+    def _advance(self, sides: list[int]) -> None:
+        """The MDP's one transition: take the actions ``sides`` (0 Sell, 1 Buy),
+        which the caller has checked fit in the episode, one bar each. A flip
+        trades at the bar's close (the ON_FLIP reward, the last trade price, one
+        commission); each bar then compounds the close ratio its side earns. The
+        rows go to the ledger in one ``extend`` before the env's state moves."""
+        immediate, on_flip = self._immediate, self._on_flip
+        keep = 1.0 - self.config.commission
+        position = self._position
+        equity = self._equity
+        last_price = self._last_trade_price
+        first = self._cursor
+        cursor = first + len(sides)
+        now = self._closes[first]
+        prices = self._closes[first + 1 : cursor + 1]
+        rewards, equities = [], []
+        for side, nxt in zip(sides, prices):
+            reward = 0.0
+            if side != position:
+                if on_flip:
+                    reward = reward_on_flip(True, _SIDE_AFTER[position], last_price, now)
+                position = side
+                last_price = now
+                equity *= keep
+            if side:
+                ratio = nxt / now
+                equity *= ratio
+                if immediate:
+                    reward = math.log(ratio)
+            else:
+                equity *= now / nxt
+                if immediate:
+                    reward = -math.log(nxt / now)
+            rewards.append(reward)
+            equities.append(equity)
+            now = nxt
+        done = cursor == self._last
+        if done and not (immediate or on_flip):  # TerminalEquity
+            rewards[-1] = reward_terminal(True, self.config.initial_cash, equity)
+        self.ledger.extend(sides, prices, rewards, equities)
+        self._cursor = cursor
         self._done = done
-        self._position = _SIDE_AFTER[sides[-1]]
-        self._equity = equity[-1]
-        if flips:
-            self._last_trade_price = flip_prices[-1]
+        self._position = _SIDE_AFTER[position]
+        self._equity = equity
+        self._last_trade_price = last_price

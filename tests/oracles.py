@@ -650,6 +650,50 @@ def o_corr_matrix(common, kinds):
     return matrix, degenerate
 
 
+# --- the trading MDP, bar by bar ------------------------------------------------
+
+
+def o_trading_path(closes, start, path, commission, reward_kind, initial_cash):
+    """The ledger columns (prices, rewards, equity) of taking ``path`` (0 Sell,
+    1 Buy) from a reset ``TradingEnv`` whose first cursor is ``start``, one bar
+    at a time: Short at reset as if entered at ``closes[start]``; a flip trades
+    at the bar's close and pays ``commission``; equity compounds the close ratio
+    the side earns. ``reward_kind`` is a ``RewardKind`` value."""
+    closes = [float(c) for c in closes]
+    last = len(closes) - 1
+    position = 0
+    equity = initial_cash
+    last_trade_price = closes[start]
+    cursor = start
+    prices, rewards, equities = [], [], []
+    for action in path:
+        price_now = closes[cursor]
+        flip_reward = 0.0
+        if action != position:
+            logret = math.log(price_now / last_trade_price)
+            flip_reward = logret if position == 1 else -logret
+            position = action
+            last_trade_price = price_now
+            equity *= 1.0 - commission
+        cursor += 1
+        price_next = closes[cursor]
+        if position == 1:
+            equity *= price_next / price_now
+        else:
+            equity *= price_now / price_next
+        if reward_kind == "ImmediateLogReturn":
+            logret = math.log(price_next / price_now)
+            reward = logret if position == 1 else -logret
+        elif reward_kind == "FlipLogReturn":
+            reward = flip_reward
+        else:
+            reward = math.log(equity / initial_cash) if cursor == last else 0.0
+        prices.append(price_next)
+        rewards.append(reward)
+        equities.append(equity)
+    return prices, rewards, equities
+
+
 # --- the env's current observation and the per-bar greedy backtest ----------------
 
 
@@ -675,8 +719,8 @@ def observe(env):
 
 
 # run_policy's body from before action tables and TradingEnv.replay: one env.step,
-# one ledger row and one format per bar. It drives the package's env, since
-# TradingEnv.step stays the reference that replay must equal bit for bit.
+# one ledger row and one format per bar. It drives the package's env, whose
+# transition o_trading_path pins.
 
 
 def o_run_policy(env, policy):

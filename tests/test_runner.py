@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import struct
@@ -771,6 +772,22 @@ def test_cli_compare_lengthens_colliding_headings(tmp_path, capsys):
     assert cli(["compare", paths[0], paths[0], paths[1], "--out", str(out)]) == EXIT_OK
     whole = "/".join((tmp_path / "x" / "run").parts[1:])
     assert (out / "compare.csv").read_text().splitlines()[0] == f"metric,{whole},{whole},y/run"
+
+
+def test_cli_compare_quotes_headings(tmp_path, capsys):
+    """A report directory whose name holds a comma or a quote is one quoted field of compare.csv."""
+    paths = []
+    for parent, name in (("a,b", "a"), ('q"x', "long_run")):
+        (tmp_path / parent).mkdir()
+        (tmp_path / parent / "report.json").write_text(json.dumps(PINNED_REPORTS[name]))
+        paths.append(str(tmp_path / parent / "report.json"))
+    out = tmp_path / "cmp"
+    assert cli(["compare", *paths, "--out", str(out)]) == EXIT_OK
+    text = (out / "compare.csv").read_text()
+    assert text.splitlines()[0] == 'metric,"a,b","q""x"'
+    rows = list(csv.reader(text.splitlines()))
+    assert rows[0] == ["metric", "a,b", 'q"x']
+    assert {len(row) for row in rows} == {3}
 
 
 @pytest.mark.parametrize("content, named", [

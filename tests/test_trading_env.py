@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_series, random_walk_series
-from oracles import observation_table, observe
+from oracles import o_trading_path, observation_table, observe
 from quantrl import (
     Action,
     EnvConfig,
@@ -476,6 +476,8 @@ def _ledger_columns(ledger):
 @pytest.mark.parametrize("commission", [0.0, 0.002])
 @pytest.mark.parametrize("reward_kind", list(RewardKind))
 def test_replay_bit_equal_to_step(reward_kind, commission, flip_prob):
+    """Stepping a path, replaying it and alternating the two all leave the state
+    and write the ledger of the per-bar oracle, bit for bit."""
     series = random_walk_series(120, seed=41)
     features = compute_feature_matrix(series, [IndicatorSpec("SMA", 2), IndicatorSpec("RSI", 5)])
     config = EnvConfig(window_size=3, commission=commission, reward_kind=reward_kind)
@@ -483,9 +485,12 @@ def test_replay_bit_equal_to_step(reward_kind, commission, flip_prob):
     for trial in range(4):
         stepped, replayed = TradingEnv(series, features, config), TradingEnv(series, features, config)
         stepped.reset(), replayed.reset()
-        n = len(series) - 1 - stepped.start_cursor
+        start = stepped.start_cursor
+        n = len(series) - 1 - start
         flips = rng.random(n) < flip_prob
         path = (np.cumsum(flips) % 2).tolist()
+        prices, rewards, equity = o_trading_path(series.closes(), start, path, commission, reward_kind.value,
+                                                 config.initial_cash)
         # trial 0 replays the whole episode at once; the others alternate between
         # replayed and stepped stretches, so each side continues from the other's state
         cuts = [0, n] if trial == 0 else [0, *sorted(rng.choice(np.arange(1, n), 4, replace=False).tolist()), n]
@@ -497,8 +502,9 @@ def test_replay_bit_equal_to_step(reward_kind, commission, flip_prob):
             else:
                 for action in path[lo:hi]:
                     replayed.step(action)
-            assert _state(replayed) == _state(stepped)
-        assert replayed.done
+            expected = (start + hi, hi == n, Position(path[hi - 1]), np.float64(equity[hi - 1]).tobytes(), hi)
+            assert _state(stepped) == _state(replayed) == expected
+        assert _ledger_columns(stepped.ledger)[:4] == (path, *(list(map(repr, c)) for c in (prices, rewards, equity)))
         assert _ledger_columns(replayed.ledger) == _ledger_columns(stepped.ledger)
 
 
